@@ -9,6 +9,7 @@ reproduced bit-exactly.  Exit codes: 0 success, 2 usage or input error,
 from __future__ import annotations
 
 import json
+import math
 import shutil
 import sys
 from pathlib import Path
@@ -20,8 +21,9 @@ from . import __version__
 from .errors import BlowUp, CflViolation, PhasecorrError
 from .io import (
     format_hotspot_report,
+    load_grid,
     read_series_csv,
-    write_grid_csv,
+    save_grid,
     write_heatmap_csv,
     write_series_csv,
     write_spectrum_csv,
@@ -29,6 +31,7 @@ from .io import (
 from .market import build_series, load_ohlc_csv
 from .simulator import SolverConfig, run as run_simulation
 from .spectral import (
+    BispectrumGrid,
     TimeSeries,
     detect_hotspots,
     dft_forward,
@@ -42,6 +45,8 @@ from .synthetic import (
     gen_triad,
     gen_white_uniform,
 )
+
+GRID_FILE = "bispectrum.npz"
 
 
 def _apply_config_file(ctx: click.Context, config_path: str | None) -> None:
@@ -256,6 +261,19 @@ def cmd_analyze(ctx, input_path, ohlc, price_field, transform, segments, segment
     """Run the full spectral analysis on a series and print the verdict."""
     _apply_config_file(ctx, config_path)
     p = ctx.params
+    if p["segments"] is not None and p["segments"] < 1:
+        raise click.UsageError(f"--segments must be a positive integer, got {p['segments']}")
+    if p["min_segments"] < 0:
+        raise click.UsageError(f"--min-segments must be >= 0, got {p['min_segments']}")
+    thr = p["threshold"]
+    if thr != "auto":
+        try:
+            thr = float(thr)
+        except ValueError:
+            thr = math.nan
+        if not (0.0 < thr < math.inf):
+            raise click.UsageError(
+                f"--threshold must be 'auto' or a positive number, got {p['threshold']!r}")
     try:
         if p["ohlc"]:
             ticks, report = load_ohlc_csv(p["input_path"])
@@ -270,12 +288,6 @@ def cmd_analyze(ctx, input_path, ohlc, price_field, transform, segments, segment
     if seg_len is None:
         target = p["segments"] or 64
         seg_len = 1 << max(3, (len(series) // target).bit_length() - 1)
-    thr = p["threshold"]
-    if thr != "auto":
-        try:
-            thr = float(thr)
-        except ValueError:
-            raise click.UsageError(f"--threshold must be 'auto' or a number, got {thr!r}")
     try:
         grid = segmented_bispectrum(series, seg_len, overlap_fraction=p["overlap"],
                                     window=p["window"], detrend=p["detrend"])
@@ -287,22 +299,23 @@ def cmd_analyze(ctx, input_path, ohlc, price_field, transform, segments, segment
     out_dir = _prepare_out(p["out"])
     write_series_csv(out_dir / "raw_series.csv", series)
     write_spectrum_csv(out_dir / "spectrum.csv", power_spectrum(dft_forward(series)), len(series))
-    write_grid_csv(out_dir / "bispectrum.csv", grid)
-    write_heatmap_csv(out_dir / "heatmap.csv", grid)
+    save_grid(out_dir / GRID_FILE, grid)
     (out_dir / "hotspots.txt").write_text(format_hotspot_report(hotspots))
     _write_manifest(out_dir, "analyze",
                     {k: v for k, v in p.items() if k not in ("out", "config_path")},
                     p["seed"], [p["input_path"]],
-                    ["raw_series.csv", "spectrum.csv", "bispectrum.csv", "heatmap.csv",
-                     "hotspots.txt"])
+                    ["raw_series.csv", "spectrum.csv", GRID_FILE, "hotspots.txt"])
     click.echo(hotspots.verdict.value)
 
 
-REPORT_PANELS = {
-    "raw": "raw_series.csv",
-    "spectrum": "spectrum.csv",
-    "bicoherence_heatmap": "heatmap.csv",
-}
+# (panel, file in the report bundle, plot kind, file of the analysis it comes
+# from): a panel is copied when the two files match, and the heatmap is derived
+# from the grid
+REPORT_PANELS = (
+    ("raw", "raw_series.csv", "line", "raw_series.csv"),
+    ("spectrum", "spectrum.csv", "loglog", "spectrum.csv"),
+    ("bicoherence_heatmap", "heatmap.csv", "heatmap", GRID_FILE),
+)
 
 
 @main.command("report")
@@ -315,36 +328,42 @@ REPORT_PANELS = {
 def cmd_report(ctx, analysis_dir, out, render, seed):
     """Assemble the three-panel data bundle from a completed analyze run."""
     src = Path(analysis_dir)
-    for name in list(REPORT_PANELS.values()) + ["hotspots.txt"]:
+    sources = [source for *_, source in REPORT_PANELS]
+    for name in sources + ["hotspots.txt"]:
         if not (src / name).exists():
             click.echo(f"missing input file: {src / name}", err=True)
             sys.exit(2)
+    try:
+        grid = load_grid(src / GRID_FILE)
+    except PhasecorrError as exc:
+        click.echo(f"input error: {exc}", err=True)
+        sys.exit(2)
     out_dir = _prepare_out(out)
     outputs = []
-    for panel, name in REPORT_PANELS.items():
-        shutil.copyfile(src / name, out_dir / name)
+    for _, name, _, source in REPORT_PANELS:
+        if source == name:
+            shutil.copyfile(src / name, out_dir / name)
+        else:
+            write_heatmap_csv(out_dir / name, grid)
         outputs.append(name)
     shutil.copyfile(src / "hotspots.txt", out_dir / "hotspots.txt")
     outputs.append("hotspots.txt")
     index = {
-        "panels": [
-            {"name": "raw", "file": "raw_series.csv", "kind": "line"},
-            {"name": "spectrum", "file": "spectrum.csv", "kind": "loglog"},
-            {"name": "bicoherence_heatmap", "file": "heatmap.csv", "kind": "heatmap"},
-        ],
+        "panels": [{"name": panel, "file": name, "kind": kind}
+                   for panel, name, kind, _ in REPORT_PANELS],
         "verdict_file": "hotspots.txt",
     }
     (out_dir / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
     outputs.append("index.json")
     if render:
-        rendered = _render_panels(src, out_dir)
+        rendered = _render_panels(src, out_dir, grid)
         outputs.extend(rendered)
     _write_manifest(out_dir, "report", {"analysis_dir": analysis_dir, "render": render},
-                    seed, [str(src / n) for n in REPORT_PANELS.values()], outputs)
+                    seed, [str(src / n) for n in sources], outputs)
     click.echo(f"report written to {out_dir}")
 
 
-def _render_panels(src: Path, out_dir: Path) -> list[str]:
+def _render_panels(src: Path, out_dir: Path, grid: BispectrumGrid) -> list[str]:
     try:
         import matplotlib
         matplotlib.use("Agg")
@@ -368,9 +387,8 @@ def _render_panels(src: Path, out_dir: Path) -> list[str]:
     fig.savefig(out_dir / "spectrum.png", metadata={"Software": ""})
     plt.close(fig)
     rendered.append("spectrum.png")
-    heat = np.loadtxt(src / "heatmap.csv", delimiter=",", skiprows=1, usecols=None)
     fig, ax = plt.subplots()
-    ax.imshow(heat[:, 1:], origin="lower", aspect="auto", cmap="viridis")
+    ax.imshow(grid.dense(), origin="lower", aspect="auto", cmap="viridis")
     ax.set_xlabel("k2"); ax.set_ylabel("k1")
     fig.savefig(out_dir / "heatmap.png", metadata={"Software": ""})
     plt.close(fig)

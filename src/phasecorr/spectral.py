@@ -73,7 +73,6 @@ class ComplexSpectrum:
 
     coeffs: np.ndarray
     source_length: int
-    convention: str = "unnormalized-forward"
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
@@ -81,14 +80,20 @@ class ComplexSpectrum:
             raise ValueError("coefficient count must equal source length")
 
 
+def _row_offsets(half, k1):
+    """Flat index of (k1, 0) in the row-major principal domain; k1 = half + 1 gives its size.
+
+    Row r holds min(r, half - r) + 1 bins: r + 1 up to r = half // 2, then half + 1 - r.
+    """
+    c = np.minimum(k1, half // 2 + 1)
+    return c * (c + 1) // 2 + (k1 - c) * (2 * half + 3 - k1 - c) // 2
+
+
 def _principal_domain(half: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-major (k1, k2) index pairs of {0 <= k2 <= k1, k1 + k2 <= half}."""
-    k1_parts, k2_parts = [], []
-    for a in range(half + 1):
-        b = np.arange(0, min(a, half - a) + 1)
-        k1_parts.append(np.full(len(b), a))
-        k2_parts.append(b)
-    return np.concatenate(k1_parts), np.concatenate(k2_parts)
+    off = _row_offsets(half, np.arange(half + 2))
+    k1 = np.repeat(np.arange(half + 1), np.diff(off))
+    return k1, np.arange(off[-1]) - off[k1]
 
 
 @dataclass
@@ -97,28 +102,35 @@ class BispectrumGrid:
 
     ``values[i] = <F(k1) F(k2) conj(F(k1+k2))>`` averaged over
     ``segments_averaged`` segments, with the Cauchy-Schwarz normalizers
-    ``norm_a = <|F(k1)F(k2)|^2>`` and ``norm_b = <|F(k1+k2)|^2>``.
+    ``norm_a = <|F(k1)F(k2)|^2>`` and ``norm_b = <|F(k1+k2)|^2>``.  The
+    (k1, k2) layout, and with it ``half``, ``k1`` and ``k2``, follows from
+    ``segment_length``.
     """
 
-    k1: np.ndarray
-    k2: np.ndarray
     values: np.ndarray
     norm_a: np.ndarray
     norm_b: np.ndarray
     segments_averaged: int
-    half: int
     segment_length: int
+    half: int = field(init=False)
+    k1: np.ndarray = field(init=False, repr=False)
+    k2: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.half = self.segment_length // 2
+        n = len(self.values)
+        # h + 1 rows hold more than h bins: the size is worked out only where it can fit
+        if not 0 <= self.half < n == len(self.norm_a) == len(self.norm_b) == _row_offsets(
+                self.half, self.half + 1):
+            raise ValueError(f"segment length {self.segment_length} does not fit {n} bins")
+        self.k1, self.k2 = _principal_domain(self.half)
 
     def _index(self, k1: int, k2: int) -> int:
         # fold the symmetric half back into the principal domain
         a, b = max(k1, k2), min(k1, k2)
         if b < 0 or a + b > self.half:
             raise IndexError(f"({k1}, {k2}) outside the resolvable domain")
-        # row-major offset: rows 0..a-1 contribute min(r, half-r)+1 entries each
-        off = 0
-        for r in range(a):
-            off += min(r, self.half - r) + 1
-        return off + b
+        return int(_row_offsets(self.half, a)) + b
 
     def value_at(self, k1: int, k2: int) -> complex:
         return complex(self.values[self._index(k1, k2)])
@@ -129,6 +141,12 @@ class BispectrumGrid:
         if den <= 0:
             return 0.0
         return float(abs(self.values[i]) ** 2 / den)
+
+    def dense(self) -> np.ndarray:
+        """Symmetric (half+1, half+1) bicoherence map, zero outside the domain."""
+        out = np.zeros((self.half + 1, self.half + 1))
+        out[self.k1, self.k2] = out[self.k2, self.k1] = bicoherence(self)
+        return out
 
 
 class Verdict(enum.Enum):
@@ -171,26 +189,39 @@ def power_spectrum(spectrum: ComplexSpectrum) -> np.ndarray:
     return np.abs(spectrum.coeffs[: half + 1]) ** 2
 
 
+def _average_triple_products(F: np.ndarray, segment_length: int) -> BispectrumGrid:
+    """Grid averaged over the rows of F, the (M, half+1) one-sided segment spectra.
+
+    Row k1 = a of the domain reads k2 = 0..n-1 and k1 + k2 = a..a+n-1, two
+    contiguous slices, so each row is one sum of products over segments with
+    no gathers.  No BLAS call is made, so the reduction order is fixed and the
+    result does not depend on the thread count.
+    """
+    m = len(F)
+    half = segment_length // 2
+    P = np.abs(F) ** 2
+    Fc = np.conj(F)
+    off = _row_offsets(half, np.arange(half + 2)).tolist()
+    values = np.empty(off[-1], dtype=complex)
+    norm_a = np.empty(off[-1])
+    norm_b = np.empty(off[-1])
+    power = P.sum(axis=0) / m
+    for a in range(half + 1):
+        lo, hi = off[a], off[a + 1]
+        n = hi - lo
+        values[lo:hi] = np.einsum("m,mk,mk->k", F[:, a], F[:, :n], Fc[:, a : a + n]) / m
+        norm_a[lo:hi] = np.einsum("m,mk->k", P[:, a], P[:, :n]) / m
+        norm_b[lo:hi] = power[a : a + n]
+    return BispectrumGrid(values=values, norm_a=norm_a, norm_b=norm_b,
+                          segments_averaged=m, segment_length=segment_length)
+
+
 def bispectrum(spectrum: ComplexSpectrum) -> BispectrumGrid:
     """Single-segment triple products F(k1) F(k2) conj(F(k1+k2))."""
     n = spectrum.source_length
     if n < 8:
         raise DomainTooSmall(f"need N >= 8, got {n}")
-    half = n // 2
-    k1, k2 = _principal_domain(half)
-    F = spectrum.coeffs
-    a = F[k1] * F[k2]
-    c = F[k1 + k2]
-    return BispectrumGrid(
-        k1=k1,
-        k2=k2,
-        values=a * np.conj(c),
-        norm_a=np.abs(a) ** 2,
-        norm_b=np.abs(c) ** 2,
-        segments_averaged=1,
-        half=half,
-        segment_length=n,
-    )
+    return _average_triple_products(spectrum.coeffs[None, : n // 2 + 1], n)
 
 
 _WINDOWS = ("rectangular", "hann")
@@ -208,8 +239,8 @@ def segmented_bispectrum(
 
     Each segment is detrended, windowed, transformed, and its triple
     products and normalizers are averaged arithmetically over all M full
-    segments.  The reduction order is fixed (segment 0 first) so results
-    are bit-stable across runs.
+    segments; samples after the last full segment are not used.  The
+    reduction order is fixed, so results are bit-stable across runs.
     """
     v = series.values
     n = len(v)
@@ -225,45 +256,16 @@ def segmented_bispectrum(
         raise ValueError(f"detrend must be one of {_DETRENDS}")
 
     step = max(1, int(round(segment_length * (1.0 - overlap_fraction))))
-    starts = range(0, n - segment_length + 1, step)
-    half = segment_length // 2
-    k1, k2 = _principal_domain(half)
-    k3 = k1 + k2
-
-    win = np.hanning(segment_length) if window == "hann" else None
-    t = np.arange(segment_length)
-
-    acc_b = np.zeros(len(k1), dtype=complex)
-    acc_a = np.zeros(len(k1))
-    acc_c = np.zeros(len(k1))
-    m = 0
-    for s in starts:
-        seg = v[s : s + segment_length].astype(float)
-        if detrend == "demean":
-            seg = seg - seg.mean()
-        elif detrend == "linear":
-            coef = np.polyfit(t, seg, 1)
-            seg = seg - np.polyval(coef, t)
-        if win is not None:
-            seg = seg * win
-        F = np.fft.fft(seg)
-        a = F[k1] * F[k2]
-        c = F[k3]
-        acc_b += a * np.conj(c)
-        acc_a += np.abs(a) ** 2
-        acc_c += np.abs(c) ** 2
-        m += 1
-
-    return BispectrumGrid(
-        k1=k1,
-        k2=k2,
-        values=acc_b / m,
-        norm_a=acc_a / m,
-        norm_b=acc_c / m,
-        segments_averaged=m,
-        half=half,
-        segment_length=segment_length,
-    )
+    seg = np.lib.stride_tricks.sliding_window_view(v, segment_length)[::step]
+    if detrend == "demean":
+        seg = seg - seg.mean(axis=1, keepdims=True)
+    elif detrend == "linear":
+        t = np.arange(segment_length)
+        slope, intercept = np.polyfit(t, seg.T, 1)
+        seg = seg - (slope[:, None] * t + intercept[:, None])
+    if window == "hann":
+        seg = seg * np.hanning(segment_length)
+    return _average_triple_products(np.fft.rfft(seg, axis=1), segment_length)
 
 
 def bicoherence(grid: BispectrumGrid) -> np.ndarray:
@@ -305,26 +307,23 @@ def detect_hotspots(
         thr = auto_threshold(grid)
     else:
         thr = float(threshold)
+        # the map is 0 outside the domain; only a positive threshold keeps those cells out
+        if not (0.0 < thr < math.inf):
+            raise ValueError(f"threshold must be a positive number, got {threshold!r}")
 
-    b2_flat = bicoherence(grid)
-    half = grid.half
-    # dense symmetric map for neighbor comparisons; outside-domain cells stay -1
-    dense = np.full((half + 1, half + 1), -1.0)
-    dense[grid.k1, grid.k2] = b2_flat
-    dense[grid.k2, grid.k1] = b2_flat
-
-    padded = np.pad(dense, 1, constant_values=-1.0)
-    neigh_max = np.full_like(dense, -np.inf)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            shifted = padded[1 + di : 1 + di + half + 1, 1 + dj : 1 + dj + half + 1]
-            neigh_max = np.maximum(neigh_max, shifted)
-    is_peak = (b2_flat > thr) & (b2_flat >= neigh_max[grid.k1, grid.k2])
+    dense = grid.dense()
+    k1, k2 = np.nonzero(dense > thr)
+    k1, k2 = k1[k2 <= k1], k2[k2 <= k1]
+    b2 = dense[k1, k2]
+    # a peak is at least each of its eight neighbours; an index clipped at the
+    # map's edge only repeats a cell that is compared anyway
+    peak = np.ones(len(b2), dtype=bool)
+    for d1 in (-1, 0, 1):
+        for d2 in (-1, 0, 1):
+            peak &= b2 >= dense[np.clip(k1 + d1, 0, grid.half), np.clip(k2 + d2, 0, grid.half)]
     hotspots = [
-        (int(grid.k1[i]), int(grid.k2[i]), float(b2_flat[i]), float(abs(grid.values[i])))
-        for i in np.nonzero(is_peak)[0]
+        (a, b, float(dense[a, b]), abs(grid.value_at(a, b)))
+        for a, b in zip(k1[peak].tolist(), k2[peak].tolist())
     ]
     hotspots.sort(key=lambda h: h[2], reverse=True)
 

@@ -1,11 +1,12 @@
 import json
+import time
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from phasecorr.cli import main
-from phasecorr.io import read_series_csv
+from phasecorr.io import load_grid, read_series_csv
 
 
 @pytest.fixture
@@ -114,8 +115,8 @@ class TestAnalyze:
         res = run_cli(runner, ["analyze", str(csv), "--segments", "32", "--out", str(out)])
         assert res.exit_code == 0
         assert res.output.strip().endswith("PhaseCorrelated")
-        for name in ("raw_series.csv", "spectrum.csv", "bispectrum.csv",
-                     "heatmap.csv", "hotspots.txt", "manifest.json"):
+        for name in ("raw_series.csv", "spectrum.csv", "bispectrum.npz",
+                     "hotspots.txt", "manifest.json"):
             assert (out / name).exists()
         report = (out / "hotspots.txt").read_text()
         ka = round(0.22 * 1024 / (2 * np.pi))
@@ -133,6 +134,32 @@ class TestAnalyze:
         bad.write_text("not,a,series\n1,2,3\n")
         res = runner.invoke(main, ["analyze", str(bad), "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--threshold", "nan"],
+        ["--threshold", "-1"],
+        ["--segments", "-3"],
+        ["--segments", "0"],
+        ["--min-segments", "-1"],
+    ], ids=["threshold-nan", "threshold-negative", "segments-negative", "segments-zero",
+            "min-segments-negative"])
+    def test_bad_value_exit_2(self, runner, tmp_path, flags):
+        csv = make_triad_csv(runner, tmp_path, True)
+        out = tmp_path / "an"
+        res = runner.invoke(main, ["analyze", str(csv), "--out", str(out)] + flags)
+        assert res.exit_code == 2
+        assert flags[0] in res.output
+        assert not out.exists()
+
+    def test_grid_bytes_reproducible(self, runner, tmp_path, monkeypatch):
+        csv = make_triad_csv(runner, tmp_path, True)
+        run_cli(runner, ["analyze", str(csv), "--segments", "32", "--out", str(tmp_path / "a")])
+        # a later wall clock must not reach the archive's bytes
+        later = time.time() + 86400.0
+        monkeypatch.setattr(time, "time", lambda: later)
+        run_cli(runner, ["analyze", str(csv), "--segments", "32", "--out", str(tmp_path / "b")])
+        assert (tmp_path / "a" / "bispectrum.npz").read_bytes() == \
+               (tmp_path / "b" / "bispectrum.npz").read_bytes()
 
     def test_ohlc_input(self, runner, tmp_path):
         rows = ["datetime,open,high,low,close,volume"]
@@ -172,10 +199,19 @@ class TestReport:
 
     def test_missing_grid_exit_2(self, runner, tmp_path):
         an = self.completed_analysis(runner, tmp_path)
-        (an / "heatmap.csv").unlink()
+        (an / "bispectrum.npz").unlink()
         res = runner.invoke(main, ["report", str(an), "--out", str(tmp_path / "rep")])
         assert res.exit_code == 2
-        assert "heatmap.csv" in res.output
+        assert "bispectrum.npz" in res.output
+
+    def test_report_heatmap_from_grid(self, runner, tmp_path):
+        an = self.completed_analysis(runner, tmp_path)
+        rep = tmp_path / "rep"
+        assert run_cli(runner, ["report", str(an), "--out", str(rep)]).exit_code == 0
+        heat = np.loadtxt(rep / "heatmap.csv", delimiter=",", skiprows=1)
+        dense = load_grid(an / "bispectrum.npz").dense()
+        assert np.array_equal(heat[:, 0], np.arange(len(dense)))
+        assert np.allclose(heat[:, 1:], dense, rtol=1e-5, atol=0.0)
 
     def test_report_deterministic(self, runner, tmp_path):
         an = self.completed_analysis(runner, tmp_path)

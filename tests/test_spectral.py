@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from phasecorr import (
+    BispectrumGrid,
     TimeSeries,
     Verdict,
     bicoherence,
@@ -17,6 +18,8 @@ from phasecorr.errors import (
     NonFiniteInput,
     SegmentTooLong,
 )
+
+from phasecorr.spectral import _principal_domain
 
 from oracles import bispectrum_direct, dft_direct
 
@@ -158,7 +161,68 @@ class TestBispectrum:
         assert g.value_at(9, 4) == g.value_at(4, 9)
 
 
+class TestDomainLayout:
+    @pytest.mark.parametrize("half", range(0, 67))
+    def test_closed_form_matches_loop(self, half):
+        k1 = [a for a in range(half + 1) for _ in range(min(a, half - a) + 1)]
+        k2 = [b for a in range(half + 1) for b in range(min(a, half - a) + 1)]
+        got1, got2 = _principal_domain(half)
+        assert got1.tolist() == k1 and got2.tolist() == k2
+
+    @pytest.mark.parametrize("n", [8, 9, 16, 30, 64])
+    def test_index_is_flat_position(self, n):
+        g = bispectrum(dft_forward(seeded_series(n, n)))
+        for i, (a, b) in enumerate(zip(g.k1.tolist(), g.k2.tolist())):
+            assert g._index(a, b) == i
+            assert g._index(b, a) == i
+        with pytest.raises(IndexError):
+            g._index(g.half, 1)
+
+    def test_dense_map(self):
+        g = segmented_bispectrum(seeded_series(6, 2048), 128)
+        d = g.dense()
+        b2 = bicoherence(g)
+        assert d.shape == (65, 65)
+        assert np.array_equal(d, d.T)
+        assert np.array_equal(d[g.k1, g.k2], b2)
+        k1, k2 = np.indices(d.shape)
+        assert (d[k1 + k2 > g.half] == 0.0).all()
+
+
+def per_segment_reference(values, seg_len, overlap, window, detrend):
+    """Average of single-segment grids, one segment at a time."""
+    step = max(1, int(round(seg_len * (1.0 - overlap))))
+    t = np.arange(seg_len)
+    grids = []
+    for s in range(0, len(values) - seg_len + 1, step):
+        seg = values[s : s + seg_len]
+        if detrend == "demean":
+            seg = seg - seg.mean()
+        elif detrend == "linear":
+            seg = seg - np.polyval(np.polyfit(t, seg, 1), t)
+        if window == "hann":
+            seg = seg * np.hanning(seg_len)
+        grids.append(bispectrum(dft_forward(TimeSeries(seg))))
+    return grids
+
+
 class TestSegmentedBispectrum:
+    @pytest.mark.parametrize("window", ["rectangular", "hann"])
+    @pytest.mark.parametrize("detrend", ["none", "demean", "linear"])
+    @pytest.mark.parametrize("overlap", [0.0, 0.5])
+    def test_matches_per_segment_reference(self, window, detrend, overlap):
+        # 5 segments of 64 and a 21-sample tail that no segment reaches
+        rng = np.random.default_rng(31)
+        values = rng.normal(size=5 * 64 + 21) + 0.01 * np.arange(5 * 64 + 21)
+        g = segmented_bispectrum(TimeSeries(values), 64, overlap_fraction=overlap,
+                                 window=window, detrend=detrend)
+        grids = per_segment_reference(values, 64, overlap, window, detrend)
+        assert g.segments_averaged == len(grids) == (5 if overlap == 0.0 else 9)
+        for name in ("values", "norm_a", "norm_b"):
+            want = np.mean([getattr(r, name) for r in grids], axis=0)
+            got = getattr(g, name)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_identical_segments_average_to_single(self):
         seg = triad_series(128, 5, 9, 0.3, 1.1, 1.4).values
         series = TimeSeries(np.tile(seg, 8))
@@ -269,8 +333,48 @@ class TestDetectHotspots:
         rep = detect_hotspots(g, min_segments=16)
         assert rep.verdict is Verdict.INCONCLUSIVE
 
+    @pytest.mark.parametrize("threshold", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_rejects_non_positive_threshold(self, threshold):
+        g, _, _ = self.coupled_grid()
+        with pytest.raises(ValueError):
+            detect_hotspots(g, threshold=threshold)
+
+    def test_matches_neighbour_loop_reference(self):
+        # off-bin tones leak into many local maxima: every one must come out
+        # exactly as the filled-map neighbour loop finds it
+        rng = np.random.default_rng(23)
+        n_seg, seg = 32, 256
+        t = np.arange(seg)
+        blocks = []
+        for _ in range(n_seg):
+            ta, tb = rng.uniform(0, 2 * np.pi, 2)
+            blocks.append(np.cos(0.22 * t + ta) + np.cos(0.375 * t + tb)
+                          + np.cos(0.595 * t + ta + tb) + 0.05 * rng.uniform(-1, 1, seg))
+        g = segmented_bispectrum(TimeSeries(np.concatenate(blocks)), seg)
+        for threshold in ("auto", 0.3, 0.05):
+            rep = detect_hotspots(g, threshold=threshold)
+            assert rep.hotspots == hotspots_reference(g, rep.threshold_used)
+        assert len(rep.hotspots) > 100
+
     def test_explicit_threshold(self):
         g, ka, kb = self.coupled_grid()
         rep = detect_hotspots(g, threshold=0.99999)
         assert rep.hotspots == []
         assert rep.verdict is Verdict.FULLY_DEVELOPED_TURBULENCE_CONSISTENT
+
+
+def hotspots_reference(grid, thr):
+    """Local maxima by an explicit eight-neighbour loop on a -1-filled map."""
+    b2 = bicoherence(grid)
+    half = grid.half
+    dense = np.full((half + 3, half + 3), -1.0)
+    dense[grid.k1 + 1, grid.k2 + 1] = b2
+    dense[grid.k2 + 1, grid.k1 + 1] = b2
+    found = []
+    for i, (a, b) in enumerate(zip(grid.k1.tolist(), grid.k2.tolist())):
+        around = dense[a : a + 3, b : b + 3].copy()
+        around[1, 1] = -np.inf
+        if b2[i] > thr and b2[i] >= around.max():
+            found.append((a, b, float(b2[i]), float(abs(grid.values[i]))))
+    found.sort(key=lambda h: h[2], reverse=True)
+    return found
