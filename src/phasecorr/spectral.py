@@ -46,7 +46,7 @@ class TimeSeries:
     """Uniformly sampled real-valued sequence.
 
     values : samples in signal units
-    dt     : sample interval, strictly positive (default 1)
+    dt     : sample interval, finite and strictly positive (default 1)
     label  : free-form provenance tag
     """
 
@@ -60,8 +60,8 @@ class TimeSeries:
             raise LengthTooShort(f"need at least 2 samples, got shape {self.values.shape}")
         if not np.isfinite(self.values).all():
             raise NonFiniteInput("series contains NaN or Inf")
-        if not (self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -271,10 +271,7 @@ def segmented_bispectrum(
 def bicoherence(grid: BispectrumGrid) -> np.ndarray:
     """Normalized squared bispectrum b^2 in [0, 1], flat over the principal domain."""
     den = grid.norm_a * grid.norm_b
-    out = np.zeros(len(grid.values))
-    nz = den > 0
-    out[nz] = np.abs(grid.values[nz]) ** 2 / den[nz]
-    return out
+    return np.divide(np.abs(grid.values) ** 2, den, out=np.zeros(len(den)), where=den > 0)
 
 
 def auto_threshold(grid: BispectrumGrid) -> float:

@@ -2,6 +2,7 @@
 
 These deliberately avoid the library's FFT path: the transform is the
 literal O(N^2) definition sum and the bispectrum a literal triple loop.
+The OHLCV oracle is the row-at-a-time loader the columnar one replaced.
 """
 
 import numpy as np
@@ -28,3 +29,85 @@ def bispectrum_direct(values):
         for k2 in range(min(k1, half - k1) + 1):
             out[(k1, k2)] = F[k1] * F[k2] * np.conj(F[k1 + k2])
     return out
+
+
+def legacy_load_ohlc_csv(path, schema=None):
+    """The row-at-a-time OHLCV loader that the columnar one replaced.
+
+    Returns (records, counts): records are (timestamp, o, h, l, c, v) tuples
+    of the kept rows, counts the ``CleaningReport`` fields of that loader,
+    which counted out-of-order rows as duplicates.  Raises the same errors.
+    """
+    import csv
+    import math
+    from datetime import datetime, timedelta
+    from pathlib import Path
+
+    from phasecorr.errors import FileUnreadable, NoValidRows, SchemaMismatch
+    from phasecorr.market import DEFAULT_SCHEMA
+
+    def parse_timestamp(text):
+        for fmt in ("%Y-%m-%d %H:%M", "%Y-%m-%d %H:%M:%S"):
+            try:
+                return datetime.strptime(text.strip(), fmt)
+            except ValueError:
+                continue
+        return None
+
+    def valid_prices(o, h, l, c, v):
+        if not all(math.isfinite(x) for x in (o, h, l, c, v)):
+            return False
+        if min(o, h, l, c) <= 0 or v < 0:
+            return False
+        return l <= min(o, c) and max(o, c) <= h
+
+    colmap = dict(DEFAULT_SCHEMA)
+    if schema:
+        colmap.update(schema)
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+
+    reader = csv.DictReader(text.splitlines())
+    if reader.fieldnames is None:
+        raise FileUnreadable(f"{path} has no header row")
+    for logical, column in colmap.items():
+        if column not in reader.fieldnames:
+            raise SchemaMismatch(f"column {column!r} (for {logical!r}) missing from {path}")
+
+    counts = dict(n_records_in=0, n_records_out=0, n_gaps=0, n_dropped_invalid=0,
+                  sessions_detected=0, n_dropped_duplicate=0)
+    records = []
+    last_ts = None
+    one_minute = timedelta(minutes=1)
+    for row in reader:
+        counts["n_records_in"] += 1
+        ts = parse_timestamp(row.get(colmap["datetime"]) or "")
+        try:
+            o = float(row[colmap["open"]])
+            h = float(row[colmap["high"]])
+            l = float(row[colmap["low"]])
+            c = float(row[colmap["close"]])
+            v = float(row[colmap["volume"]])
+        except (TypeError, ValueError):
+            counts["n_dropped_invalid"] += 1
+            continue
+        if ts is None or not valid_prices(o, h, l, c, v):
+            counts["n_dropped_invalid"] += 1
+            continue
+        if last_ts is not None:
+            if ts <= last_ts:
+                counts["n_dropped_duplicate"] += 1
+                continue
+            if ts - last_ts != one_minute:
+                counts["n_gaps"] += 1
+        records.append((ts, o, h, l, c, v))
+        last_ts = ts
+
+    if not records:
+        raise NoValidRows(f"{path} contains no valid OHLCV rows")
+    counts["n_records_out"] = len(records)
+    counts["sessions_detected"] = counts["n_gaps"] + 1
+    return records, counts

@@ -3,7 +3,9 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
+import phasecorr.market as market
 from phasecorr import (
+    TickRecord,
     TriadSpec,
     Verdict,
     build_series,
@@ -12,7 +14,9 @@ from phasecorr import (
     load_ohlc_csv,
     segmented_bispectrum,
 )
-from phasecorr.errors import NoValidRows, SchemaMismatch, TooShort
+from phasecorr.errors import FileUnreadable, NoValidRows, PhasecorrError, SchemaMismatch, TooShort
+
+from oracles import legacy_load_ohlc_csv
 
 
 def write_fixture(path, rows, header="datetime,open,high,low,close,volume"):
@@ -77,6 +81,21 @@ class TestLoadOhlcCsv:
         rows = VALID_ROWS + ["2020-01-06 09:18,0,1,0,0.5,100"]
         _, report = load_ohlc_csv(write_fixture(tmp_path / "zero.csv", rows))
         assert report.n_dropped_invalid == 1
+
+    def test_out_of_order_counted_separately(self, tmp_path):
+        rows = VALID_ROWS + ["2020-01-06 09:16,101,102,100,101,800"]  # an earlier minute
+        ticks, report = load_ohlc_csv(write_fixture(tmp_path / "ooo.csv", rows))
+        assert len(ticks.records) == 3
+        assert report.n_dropped_out_of_order == 1
+        assert report.n_dropped_duplicate == 0
+
+    def test_columns(self, tmp_path):
+        ticks, _ = load_ohlc_csv(write_fixture(tmp_path / "ok.csv", VALID_ROWS))
+        assert ticks.timestamps.dtype == np.dtype("datetime64[s]")
+        assert ticks.timestamps.tolist() == [datetime(2020, 1, 6, 9, m) for m in (15, 16, 17)]
+        assert ticks.close.tolist() == [100.5, 101.0, 100.4]
+        assert ticks.records[1] == TickRecord(datetime(2020, 1, 6, 9, 16), 100.5, 102.0, 100.0,
+                                              101.0, 1200.0)
 
 
 class TestBuildSeries:
@@ -151,3 +170,173 @@ class TestEndToEndPipeline:
     def test_uncoupled_triad_null(self, tmp_path):
         rep = self.analyze(triad_ohlc_fixture(tmp_path, False, "uncoupled.csv"))
         assert rep.verdict is Verdict.FULLY_DEVELOPED_TURBULENCE_CONSISTENT
+
+
+# -- the columnar loader against the row-at-a-time one ------------------------
+
+def assert_matches_legacy(path, schema=None):
+    """Same errors, counts, kept timestamps and OHLCV bits as the old loader.
+
+    The old loader counted out-of-order rows as duplicates; that is the only
+    expected difference.
+    """
+    try:
+        old_records, old = legacy_load_ohlc_csv(path, schema)
+    except PhasecorrError as exc:
+        with pytest.raises(type(exc)):
+            load_ohlc_csv(path, schema)
+        return None
+    ticks, report = load_ohlc_csv(path, schema)
+    new = dict(vars(report))
+    assert new.pop("n_dropped_duplicate") + new.pop("n_dropped_out_of_order") == \
+        old.pop("n_dropped_duplicate")
+    assert new == old
+    cols = list(zip(*old_records))
+    assert ticks.timestamps.dtype == np.dtype("datetime64[s]")
+    assert ticks.timestamps.tolist() == list(cols[0])
+    for name, col in zip(("open", "high", "low", "close", "volume"), cols[1:]):
+        assert getattr(ticks, name).tobytes() == np.array(col, dtype=float).tobytes()
+    return report
+
+
+ODD_STAMPS = [
+    "2020-02-30 09:15", "2021-02-29 10:00", "2020-02-29 10:00", "1900-02-29 10:00",
+    "2000-02-29 10:00", "2020-13-01 10:00", "2020-00-10 10:00", "2020-01-00 10:00",
+    "2020-04-31 10:00", "2020-01-06 24:00", "2020-01-06 09:60", "2020-01-06 09:15:60",
+    "2020-01-06 09:15:61", "0000-01-01 00:00", "0001-01-01 00:00", "not-a-time", "",
+    "２０２０-01-06 09:15", "2020-01-06T09:15", "2020-01-06 09:15:00.5",
+    "2020/01/06 09:15", "20-01-06 09:15",
+]
+ODD_NUMBERS = ["nan", "inf", "-inf", "1_000", " 100.25 ", "", "abc", "1e2", "-5", "0", "-0.0"]
+
+
+def _fuzz_stamp(rng, t: datetime) -> str:
+    kind = int(rng.integers(16))
+    if kind < 8:
+        return f"{t:%Y-%m-%d %H:%M}"
+    if kind == 8:
+        return f"{t:%Y-%m-%d %H:%M}:00"
+    if kind == 9:
+        return f"{t:%Y-%m-%d %H:%M}:{int(rng.integers(60)):02d}"
+    if kind == 10:
+        return f"{t.year}-{t.month}-{t.day} {t.hour}:{t.minute}"
+    if kind == 11:
+        return f" {t:%Y-%m-%d}  {t:%H:%M} "
+    if kind == 12:
+        return str(rng.choice(ODD_STAMPS))
+    return f"{t:%Y-%m-%d %H:%M}"
+
+
+def _fuzz_number(rng, x: float) -> str:
+    r = rng.random()
+    if r < 0.04:
+        return str(rng.choice(ODD_NUMBERS))
+    if r < 0.06:
+        return f'"{x!r}"'
+    return repr(x) if r < 0.5 else f"{x:.4f}"
+
+
+def write_fuzz_file(path, seed: int, n_rows: int = 150):
+    """Seeded OHLCV rows with every kind of defect the loader must handle."""
+    rng = np.random.default_rng(seed)
+    t = datetime(int(rng.integers(1990, 2030)), int(rng.integers(1, 13)), 28, 23, 45)
+    lines = ["datetime,open,high,low,close,volume"]
+    for _ in range(n_rows):
+        step = rng.random()
+        if step < 0.80:
+            t += timedelta(minutes=1)
+        elif step < 0.86:
+            t += timedelta(minutes=int(rng.integers(2, 600)))
+        elif step < 0.90:
+            t -= timedelta(minutes=int(rng.integers(1, 5)))
+        # else: the same minute again
+        o, c = 100.0 + rng.normal(size=2)
+        h, l = max(o, c) + rng.random(), min(o, c) - rng.random()
+        cells = [_fuzz_stamp(rng, t)] + [_fuzz_number(rng, float(x)) for x in (o, h, l, c)]
+        cells.append(_fuzz_number(rng, float(rng.integers(0, 5000))))
+        shape = rng.random()
+        if shape < 0.03:
+            cells = cells[:int(rng.integers(1, 6))]
+        elif shape < 0.06:
+            cells += ["x"] * int(rng.integers(1, 3))
+        if rng.random() < 0.03:
+            lines.append("" if rng.random() < 0.7 else " ")
+        lines.append(",".join(cells))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestColumnarMatchesLegacy:
+    @pytest.mark.parametrize("chunk_rows", [None, 7])
+    def test_fuzz(self, tmp_path, monkeypatch, chunk_rows):
+        if chunk_rows is not None:
+            monkeypatch.setattr(market, "_CHUNK_ROWS", chunk_rows)
+        seen = dict.fromkeys(("n_dropped_invalid", "n_dropped_duplicate",
+                              "n_dropped_out_of_order", "n_gaps"), 0)
+        for seed in range(120):
+            report = assert_matches_legacy(write_fuzz_file(tmp_path / f"f{seed}.csv", seed))
+            for key in seen:
+                seen[key] += getattr(report, key)
+        assert min(seen.values()) > 20, seen
+
+    def test_defects_straddle_chunk_edges(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(market, "_CHUNK_ROWS", 2)
+        rows = [
+            "2020-01-06 09:15,100,101,99,100,1",
+            "2020-01-06 09:16,100,101,99,100,1",
+            "2020-01-06 09:16,100,101,99,100,1",  # duplicate of the row before the edge
+            "2020-01-06 09:14,100,101,99,100,1",  # out of order
+            "",
+            "",  # a chunk of blank lines only
+            "2020-01-06 09:20,100,101,99,100,1",  # gap from 09:16 across edges
+            "2020-01-06 09:21,100,99,101,100,1",  # high below low
+            "2020-01-06 09:21,100,101,99,100,1",
+            "2020-01-06 09:22,100",
+            "2020-01-06 09:23",  # a chunk of short rows only
+        ]
+        path = write_fixture(tmp_path / "edges.csv", rows)
+        report = assert_matches_legacy(path)
+        assert vars(report) == dict(
+            n_records_in=9, n_records_out=4, n_gaps=1, n_dropped_invalid=3,
+            sessions_detected=2, n_dropped_duplicate=1, n_dropped_out_of_order=1)
+
+    def test_duplicated_header_name_uses_last_column(self, tmp_path):
+        rows = ["2020-01-06 09:15,100,101,99,1,1,100.5",
+                "2020-01-06 09:16,100,101,99,2,1,100.25",
+                "2020-01-06 09:17,100,101,99,3,1"]  # short: the last close is missing
+        path = write_fixture(tmp_path / "dup_header.csv", rows,
+                             header="datetime,open,high,low,close,volume,close")
+        assert_matches_legacy(path)
+        ticks, report = load_ohlc_csv(path)
+        assert ticks.close.tolist() == [100.5, 100.25]
+        assert report.n_dropped_invalid == 1
+
+    def test_blank_lines_only(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("datetime,open,high,low,close,volume\n\n\n\n")
+        assert_matches_legacy(path)
+        with pytest.raises(NoValidRows):
+            load_ohlc_csv(path)
+
+    @pytest.mark.parametrize("text, error", [("", FileUnreadable), ("\n\n", SchemaMismatch)])
+    def test_no_header(self, tmp_path, text, error):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        assert_matches_legacy(path)
+        with pytest.raises(error):
+            load_ohlc_csv(path)
+
+    def test_schema_remap(self, tmp_path):
+        path = write_fuzz_file(tmp_path / "remap.csv", 5)
+        path.write_text(path.read_text().replace("datetime,", "Date,", 1))
+        assert_matches_legacy(path, schema={"datetime": "Date"})
+
+    def test_timestamp_fast_path_matches_strptime(self):
+        cells = [f"{y:04d}-{m:02d}-{d:02d} {clock}"
+                 for y in (1, 4, 100, 1900, 1970, 2000, 2020, 2021, 2100, 2400, 9999)
+                 for m in range(1, 13) for d in (0, 1, 28, 29, 30, 31, 32)
+                 for clock in ("00:00", "23:59", "09:15:07", "23:59:59")]
+        cells += ODD_STAMPS + ["2020-01-06 09:15", "2020-01-06 09:15:00", "2020-1-6 9:17"]
+        got = market._parse_timestamps(cells)
+        want = np.array([market._parse_timestamp(c) or "NaT" for c in cells], "datetime64[s]")
+        assert got.tobytes() == want.tobytes()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,11 @@ class TestDftForward:
     def test_rejects_short(self):
         with pytest.raises(LengthTooShort):
             TimeSeries([1.0])
+
+    @pytest.mark.parametrize("dt", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_bad_dt(self, dt):
+        with pytest.raises(ValueError):
+            TimeSeries([1.0, 2.0], dt=dt)
 
     def test_linearity(self):
         rng = np.random.default_rng(7)
@@ -296,6 +303,18 @@ class TestBicoherence:
             b2 = bicoherence(g)
             assert b2.min() >= 0.0
             assert b2.max() <= 1.0 + 1e-12
+
+    def test_matches_masked_division(self):
+        g = segmented_bispectrum(seeded_series(4, 4096), 256)
+        # zero normalisers on a third of the bins, as on bins with no power
+        norm_a = np.where(np.arange(len(g.values)) % 3 == 0, 0.0, g.norm_a)
+        g = BispectrumGrid(g.values, norm_a, g.norm_b, g.segments_averaged, g.segment_length)
+        den = g.norm_a * g.norm_b
+        nz = den > 0
+        old = np.zeros(len(g.values))
+        old[nz] = np.abs(g.values[nz]) ** 2 / den[nz]
+        assert not nz.all()
+        assert bicoherence(g).tobytes() == old.tobytes()
 
 
 class TestDetectHotspots:
