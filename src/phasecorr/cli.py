@@ -49,50 +49,47 @@ from .synthetic import (
 GRID_FILE = "bispectrum.npz"
 
 
-def _apply_config_file(ctx: click.Context, config_path: str | None) -> None:
-    """key=value lines override option defaults; explicit flags still win."""
-    if not config_path:
+def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Load key=value lines into ``ctx.default_map``, so click parses and checks
+    each value with its option's own type; explicit flags still win."""
+    if path is None:
         return
     try:
-        lines = Path(config_path).read_text().splitlines()
-    except OSError as exc:
-        raise click.UsageError(f"cannot read config file: {exc}")
-    overrides = {}
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise click.BadParameter(f"cannot read config file: {exc}", ctx, param)
+    names = {p.name for p in ctx.command.params} - {param.name}
+    values = {}
     for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise click.UsageError(f"bad config line (expected key=value): {line!r}")
-        key, _, value = line.partition("=")
-        overrides[key.strip().replace("-", "_")] = value.strip()
-    for key, value in overrides.items():
-        if key not in ctx.params:
-            raise click.UsageError(f"unknown config key {key!r}")
-        src = ctx.get_parameter_source(key)
-        if src is not None and src.name != "DEFAULT":
-            continue
-        current = ctx.params[key]
-        if isinstance(current, bool):
-            ctx.params[key] = value.lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int):
-            ctx.params[key] = int(value)
-        elif isinstance(current, float):
-            ctx.params[key] = float(value)
-        else:
-            ctx.params[key] = value
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise click.BadParameter(f"bad line (expected key=value): {line!r}", ctx, param)
+        key = key.strip().replace("-", "_")
+        if key not in names:
+            raise click.BadParameter(f"unknown key {key!r}", ctx, param)
+        values[key] = value.strip()
+    ctx.default_map = values
 
 
-def _write_manifest(out: Path, command: str, config: dict, seed: int | None,
+config_option = click.option(
+    "--config", type=str, is_eager=True, expose_value=False, callback=_read_config,
+    help="File of key=value option values; explicit flags win.")
+
+
+def _write_manifest(out: Path, command: str, params: dict,
                     inputs: list[str], outputs: list[str]) -> None:
     manifest = {
         "command": command,
-        "config": config,
-        "seed": seed,
+        "config": {k: v for k, v in params.items() if k != "out"},
         "version": __version__,
         "inputs": sorted(inputs),
         "outputs": sorted(outputs),
     }
+    if "seed" in params:
+        manifest["seed"] = params["seed"]
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -126,32 +123,28 @@ def generate() -> None:
               help="Redraw phases every this many samples (0 = fixed phases).")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=str, default=".", show_default=True)
-@click.option("--config", "config_path", type=str, default=None, help="key=value overrides.")
+@config_option
 @click.pass_context
 def cmd_generate_triad(ctx, coupled, omega_a, omega_b, frequency_rule, n, noise,
-                       phase_block, seed, out, config_path):
+                       phase_block, seed, out):
     """Write a three-cosine series with or without quadratic phase coupling."""
-    _apply_config_file(ctx, config_path)
-    p = ctx.params
     try:
         spec = TriadSpec(
-            omega_alpha=p["omega_a"],
-            omega_beta=p["omega_b"],
-            coupling="phase_sum" if p["coupled"] else "independent",
-            frequency_rule=p["frequency_rule"],
-            n_samples=p["n"],
-            noise_amplitude=p["noise"],
-            seed=p["seed"],
-            phase_block=p["phase_block"] or None,
+            omega_alpha=omega_a,
+            omega_beta=omega_b,
+            coupling="phase_sum" if coupled else "independent",
+            frequency_rule=frequency_rule,
+            n_samples=n,
+            noise_amplitude=noise,
+            seed=seed,
+            phase_block=phase_block or None,
         )
         series = gen_triad(spec)
     except (PhasecorrError, ValueError) as exc:
         raise click.UsageError(str(exc))
-    out_dir = _prepare_out(p["out"])
+    out_dir = _prepare_out(out)
     write_series_csv(out_dir / "series.csv", series)
-    _write_manifest(out_dir, "generate triad",
-                    {k: v for k, v in p.items() if k not in ("out", "config_path")},
-                    p["seed"], [], ["series.csv"])
+    _write_manifest(out_dir, "generate triad", ctx.params, [], ["series.csv"])
     click.echo(f"wrote {out_dir / 'series.csv'} ({len(series)} samples)")
 
 
@@ -162,22 +155,18 @@ def cmd_generate_triad(ctx, coupled, omega_a, omega_b, frequency_rule, n, noise,
 @click.option("--amplitude", type=float, default=1.0, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=str, default=".", show_default=True)
-@click.option("--config", "config_path", type=str, default=None, help="key=value overrides.")
+@config_option
 @click.pass_context
-def cmd_generate_noise(ctx, kind, n, amplitude, seed, out, config_path):
+def cmd_generate_noise(ctx, kind, n, amplitude, seed, out):
     """Write uniform white noise or Box-Muller Gaussian noise."""
-    _apply_config_file(ctx, config_path)
-    p = ctx.params
     try:
-        spec = NoiseSpec(n_samples=p["n"], amplitude=p["amplitude"], seed=p["seed"])
-        series = gen_white_uniform(spec) if p["kind"] == "uniform" else gen_gaussian_box_muller(spec)
+        spec = NoiseSpec(n_samples=n, amplitude=amplitude, seed=seed)
+        series = gen_white_uniform(spec) if kind == "uniform" else gen_gaussian_box_muller(spec)
     except (PhasecorrError, ValueError) as exc:
         raise click.UsageError(str(exc))
-    out_dir = _prepare_out(p["out"])
+    out_dir = _prepare_out(out)
     write_series_csv(out_dir / "series.csv", series)
-    _write_manifest(out_dir, "generate noise",
-                    {k: v for k, v in p.items() if k not in ("out", "config_path")},
-                    p["seed"], [], ["series.csv"])
+    _write_manifest(out_dir, "generate noise", ctx.params, [], ["series.csv"])
     click.echo(f"wrote {out_dir / 'series.csv'} ({len(series)} samples)")
 
 
@@ -194,23 +183,20 @@ def cmd_generate_noise(ctx, kind, n, amplitude, seed, out, config_path):
               help="Steps between snapshots (0 = final only).")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=str, default=".", show_default=True)
-@click.option("--config", "config_path", type=str, default=None, help="key=value overrides.")
+@config_option
 @click.pass_context
 def cmd_simulate(ctx, equation, n, length, dt, nu, forcing, steps, probe_index,
-                 snapshot_stride, seed, out, config_path):
+                 snapshot_stride, seed, out):
     """Run the forced 1-D solver and write probe, snapshot and spectrum files."""
-    _apply_config_file(ctx, config_path)
-    p = ctx.params
     try:
         config = SolverConfig(
-            n_grid=p["n"], length=p["length"], dt=p["dt"], nu=p["nu"],
-            forcing_amplitude=p["forcing"], equation=p["equation"], seed=p["seed"],
-            n_steps=p["steps"], probe_index=p["probe_index"],
-            snapshot_stride=p["snapshot_stride"],
+            n_grid=n, length=length, dt=dt, nu=nu, forcing_amplitude=forcing,
+            equation=equation, seed=seed, n_steps=steps, probe_index=probe_index,
+            snapshot_stride=snapshot_stride,
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    out_dir = _prepare_out(p["out"])
+    out_dir = _prepare_out(out)
     try:
         result = run_simulation(config)
     except (BlowUp, CflViolation) as exc:
@@ -220,18 +206,14 @@ def cmd_simulate(ctx, equation, n, length, dt, nu, forcing, steps, probe_index,
     write_series_csv(out_dir / "probe.csv", result.probe_series)
     write_spectrum_csv(out_dir / "spectrum.csv", result.final_spatial_spectrum, config.n_grid)
     x = np.arange(config.n_grid) * (config.length / config.n_grid)
-    for i, (_, u) in enumerate(result.snapshots):
-        step_no = (i + 1) * config.snapshot_stride if config.snapshot_stride else config.n_steps
-        step_no = min(step_no, config.n_steps)
+    for step_no, u in result.snapshots:
         name = f"snap_{step_no:08d}.csv"
         with open(out_dir / name, "w") as fh:
             fh.write("x,u\n")
             for xi, ui in zip(x, u):
                 fh.write(f"{float(xi)!r},{float(ui)!r}\n")
         outputs.append(name)
-    _write_manifest(out_dir, f"simulate {p['equation']}",
-                    {k: v for k, v in p.items() if k not in ("out", "config_path")},
-                    p["seed"], [], outputs)
+    _write_manifest(out_dir, f"simulate {equation}", ctx.params, [], outputs)
     click.echo(f"completed {config.n_steps} steps; outputs in {out_dir}")
 
 
@@ -242,7 +224,7 @@ def cmd_simulate(ctx, equation, n, length, dt, nu, forcing, steps, probe_index,
               default="close", show_default=True)
 @click.option("--transform", type=click.Choice(["raw", "demean", "log_return"]),
               default="raw", show_default=True)
-@click.option("--segments", type=int, default=None,
+@click.option("--segments", type=click.IntRange(min=1), default=None,
               help="Target segment count (segment length = largest power of two that fits).")
 @click.option("--segment-length", type=int, default=None, help="Explicit power-of-two length.")
 @click.option("--overlap", type=float, default=0.0, show_default=True)
@@ -251,21 +233,14 @@ def cmd_simulate(ctx, equation, n, length, dt, nu, forcing, steps, probe_index,
 @click.option("--detrend", type=click.Choice(["none", "demean", "linear"]), default="demean",
               show_default=True)
 @click.option("--threshold", type=str, default="auto", show_default=True)
-@click.option("--min-segments", type=int, default=16, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True, help="Recorded in the manifest.")
+@click.option("--min-segments", type=click.IntRange(min=0), default=16, show_default=True)
 @click.option("--out", type=str, default=".", show_default=True)
-@click.option("--config", "config_path", type=str, default=None, help="key=value overrides.")
+@config_option
 @click.pass_context
 def cmd_analyze(ctx, input_path, ohlc, price_field, transform, segments, segment_length,
-                overlap, window, detrend, threshold, min_segments, seed, out, config_path):
+                overlap, window, detrend, threshold, min_segments, out):
     """Run the full spectral analysis on a series and print the verdict."""
-    _apply_config_file(ctx, config_path)
-    p = ctx.params
-    if p["segments"] is not None and p["segments"] < 1:
-        raise click.UsageError(f"--segments must be a positive integer, got {p['segments']}")
-    if p["min_segments"] < 0:
-        raise click.UsageError(f"--min-segments must be >= 0, got {p['min_segments']}")
-    thr = p["threshold"]
+    thr = threshold
     if thr != "auto":
         try:
             thr = float(thr)
@@ -273,37 +248,35 @@ def cmd_analyze(ctx, input_path, ohlc, price_field, transform, segments, segment
             thr = math.nan
         if not (0.0 < thr < math.inf):
             raise click.UsageError(
-                f"--threshold must be 'auto' or a positive number, got {p['threshold']!r}")
+                f"--threshold must be 'auto' or a positive number, got {threshold!r}")
     try:
-        if p["ohlc"]:
-            ticks, report = load_ohlc_csv(p["input_path"])
-            series = build_series(ticks, price_field=p["price_field"], transform=p["transform"])
+        if ohlc:
+            ticks, report = load_ohlc_csv(input_path)
+            series = build_series(ticks, price_field=price_field, transform=transform)
         else:
-            series = read_series_csv(p["input_path"])
+            series = read_series_csv(input_path)
     except PhasecorrError as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(2)
 
-    seg_len = p["segment_length"]
+    seg_len = segment_length
     if seg_len is None:
-        target = p["segments"] or 64
+        target = segments or 64
         seg_len = 1 << max(3, (len(series) // target).bit_length() - 1)
     try:
-        grid = segmented_bispectrum(series, seg_len, overlap_fraction=p["overlap"],
-                                    window=p["window"], detrend=p["detrend"])
+        grid = segmented_bispectrum(series, seg_len, overlap_fraction=overlap,
+                                    window=window, detrend=detrend)
     except (PhasecorrError, ValueError) as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(2)
-    hotspots = detect_hotspots(grid, threshold=thr, min_segments=p["min_segments"])
+    hotspots = detect_hotspots(grid, threshold=thr, min_segments=min_segments)
 
-    out_dir = _prepare_out(p["out"])
+    out_dir = _prepare_out(out)
     write_series_csv(out_dir / "raw_series.csv", series)
     write_spectrum_csv(out_dir / "spectrum.csv", power_spectrum(dft_forward(series)), len(series))
     save_grid(out_dir / GRID_FILE, grid)
     (out_dir / "hotspots.txt").write_text(format_hotspot_report(hotspots))
-    _write_manifest(out_dir, "analyze",
-                    {k: v for k, v in p.items() if k not in ("out", "config_path")},
-                    p["seed"], [p["input_path"]],
+    _write_manifest(out_dir, "analyze", ctx.params, [input_path],
                     ["raw_series.csv", "spectrum.csv", GRID_FILE, "hotspots.txt"])
     click.echo(hotspots.verdict.value)
 
@@ -323,9 +296,8 @@ REPORT_PANELS = (
 @click.option("--out", type=str, default=".", show_default=True)
 @click.option("--render/--no-render", default=False, show_default=True,
               help="Also rasterize panels to PNG when matplotlib is available.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Recorded in the manifest.")
 @click.pass_context
-def cmd_report(ctx, analysis_dir, out, render, seed):
+def cmd_report(ctx, analysis_dir, out, render):
     """Assemble the three-panel data bundle from a completed analyze run."""
     src = Path(analysis_dir)
     sources = [source for *_, source in REPORT_PANELS]
@@ -358,8 +330,7 @@ def cmd_report(ctx, analysis_dir, out, render, seed):
     if render:
         rendered = _render_panels(src, out_dir, grid)
         outputs.extend(rendered)
-    _write_manifest(out_dir, "report", {"analysis_dir": analysis_dir, "render": render},
-                    seed, [str(src / n) for n in sources], outputs)
+    _write_manifest(out_dir, "report", ctx.params, [str(src / n) for n in sources], outputs)
     click.echo(f"report written to {out_dir}")
 
 

@@ -5,7 +5,7 @@ Spatial derivatives are evaluated in wavenumber space, the quadratic
 nonlinearity is formed in physical space under the 2/3 dealiasing rule,
 and time stepping is classical 4-stage Runge-Kutta with the forcing field
 frozen across the stages of a step.  Forcing is i.i.d. uniform in [-A, A]
-per grid point per step, demeaned (no sqrt(dt) scaling unless requested).
+per grid point per step, demeaned and not scaled by sqrt(dt).
 """
 
 from __future__ import annotations
@@ -44,19 +44,25 @@ class SolverConfig:
     n_steps: int = 100_000
     probe_index: int = 0
     snapshot_stride: int = 0  # 0 = final snapshot only
-    scale_forcing_by_sqrt_dt: bool = False
 
     def __post_init__(self):
         if self.n_grid < 16 or self.n_grid & (self.n_grid - 1):
             raise ValueError(f"n_grid must be a power of two >= 16, got {self.n_grid}")
         if self.equation not in ("burgers", "diffusion"):
             raise ValueError(f"unknown equation {self.equation!r}")
-        if not (self.dt > 0):
-            raise ValueError("dt must be positive")
-        if self.nu < 0:
-            raise ValueError("nu must be >= 0")
-        if self.forcing_amplitude < 0:
-            raise ValueError("forcing_amplitude must be >= 0")
+        if not (0 < self.length < math.inf):
+            raise ValueError(f"length must be positive and finite, got {self.length}")
+        if not (0 < self.dt < math.inf):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (0 <= self.nu < math.inf):
+            raise ValueError(f"nu must be finite and >= 0, got {self.nu}")
+        if not (0 <= self.forcing_amplitude < math.inf):
+            raise ValueError(f"forcing_amplitude must be finite and >= 0, "
+                             f"got {self.forcing_amplitude}")
+        if self.n_steps < 2:
+            raise ValueError(f"n_steps must be >= 2 for a probe series, got {self.n_steps}")
+        if self.snapshot_stride < 0:
+            raise ValueError(f"snapshot_stride must be >= 0, got {self.snapshot_stride}")
         if not (0 <= self.probe_index < self.n_grid):
             raise ValueError("probe_index out of range")
 
@@ -71,7 +77,7 @@ class FieldState:
 @dataclass
 class SimOutput:
     probe_series: TimeSeries
-    snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list)
+    snapshots: list[tuple[int, np.ndarray]] = field(default_factory=list)  # (step, u)
     final_spatial_spectrum: np.ndarray = field(default_factory=lambda: np.zeros(0))
     final_state: FieldState | None = None
 
@@ -95,8 +101,6 @@ def _forcing(config: SolverConfig, step_index: int) -> np.ndarray:
     rng = np.random.default_rng([config.seed, step_index])
     f = config.forcing_amplitude * rng.uniform(-1.0, 1.0, config.n_grid)
     f -= f.mean()
-    if config.scale_forcing_by_sqrt_dt:
-        f /= math.sqrt(config.dt)
     return f
 
 
@@ -143,19 +147,20 @@ def step(state: FieldState, config: SolverConfig) -> FieldState:
 def run(config: SolverConfig) -> SimOutput:
     """Integrate n_steps from the sin(x) initial condition.
 
-    Records the probe value after every step and snapshots at the
-    configured stride; fully reproducible from the seed.
+    Records the probe value after every step and ``(step, u)`` snapshots at
+    every multiple of the stride and after the last step; fully reproducible
+    from the seed.
     """
     state = init_field(config)
     probe = np.empty(config.n_steps)
-    snapshots: list[tuple[float, np.ndarray]] = []
+    snapshots: list[tuple[int, np.ndarray]] = []
     for i in range(config.n_steps):
         state = step(state, config)
         probe[i] = state.u[config.probe_index]
         if config.snapshot_stride and state.step % config.snapshot_stride == 0:
-            snapshots.append((state.time, state.u.copy()))
-    if not snapshots or snapshots[-1][0] != state.time:
-        snapshots.append((state.time, state.u.copy()))
+            snapshots.append((state.step, state.u.copy()))
+    if not snapshots or snapshots[-1][0] != state.step:
+        snapshots.append((state.step, state.u.copy()))
     series = TimeSeries(
         values=probe,
         dt=config.dt,

@@ -66,6 +66,73 @@ class TestGenerate:
         assert manifest["config"]["seed"] == 9
 
 
+def write_noise_csv(runner, tmp_path, n=4096):
+    out = tmp_path / "noise"
+    assert run_cli(runner, ["generate", "noise", "--n", str(n), "--out", str(out)]).exit_code == 0
+    return out / "series.csv"
+
+
+class TestConfigFile:
+    def write_config(self, tmp_path, text):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(text)
+        return str(cfg)
+
+    def test_int_value_is_typed(self, runner, tmp_path):
+        csv = write_noise_csv(runner, tmp_path)
+        out = tmp_path / "an"
+        cfg = self.write_config(tmp_path, "# segment count\nsegments=16\n\nmin-segments=8\n")
+        res = run_cli(runner, ["analyze", str(csv), "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["segments"] == 16 and isinstance(config["segments"], int)
+        assert config["min_segments"] == 8
+        assert "seed" not in config
+
+    def test_supplies_required_option(self, runner, tmp_path):
+        out = tmp_path / "out"
+        cfg = self.write_config(tmp_path, "n=128\n")
+        res = run_cli(runner, ["generate", "noise", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0
+        assert len(read_series_csv(out / "series.csv")) == 128
+
+    @pytest.mark.parametrize("command, text, name", [
+        (["generate", "noise", "--n", "64"], "kind=foo\n", "--kind"),
+        (["generate", "noise", "--n", "64"], "amplitude=abc\n", "--amplitude"),
+        (["generate", "triad", "--n", "64", "--omega-a", "0.3", "--omega-b", "0.5"],
+         "noise=x\n", "--noise"),
+        (["generate", "triad", "--n", "64", "--omega-a", "0.3", "--omega-b", "0.5"],
+         "coupled=maybe\n", "--coupled"),
+        (["simulate", "burgers"], "steps=many\n", "--steps"),
+        (["analyze", "{csv}"], "segments=0\n", "--segments"),
+        (["analyze", "{csv}"], "min_segments=-1\n", "--min-segments"),
+        (["generate", "noise", "--n", "64"], "bogus=1\n", "bogus"),
+        (["generate", "noise", "--n", "64"], "n 128\n", "--config"),
+    ], ids=["choice", "float", "float-triad", "bool", "int", "segments-zero",
+            "min-segments-negative", "unknown-key", "no-equals"])
+    def test_bad_value_exit_2(self, runner, tmp_path, command, text, name):
+        csv = write_noise_csv(runner, tmp_path, n=256)
+        out = tmp_path / "out"
+        args = [a.format(csv=csv) for a in command]
+        cfg = self.write_config(tmp_path, text)
+        res = runner.invoke(main, args + ["--config", cfg, "--out", str(out)])
+        assert res.exit_code == 2
+        assert name in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-text"])
+    def test_unreadable_file_exit_2(self, runner, tmp_path, kind):
+        cfg = tmp_path / "cfg"
+        if kind == "directory":
+            cfg.mkdir()
+        elif kind == "not-text":
+            cfg.write_bytes(b"\xff\xfe\x00n=1\n")
+        res = runner.invoke(main, ["generate", "noise", "--n", "64", "--config", str(cfg),
+                                   "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert "--config" in res.output
+
+
 class TestSimulate:
     def test_diffusion_monotone(self, runner, tmp_path):
         out = tmp_path / "sim"
@@ -94,6 +161,39 @@ class TestSimulate:
         ])
         assert res.exit_code == 0
         assert len(read_series_csv(out / "probe.csv")) == 200
+
+
+    @pytest.mark.parametrize("stride, steps", [(0, [25]), (5, [5, 10, 15, 20, 25]),
+                                               (7, [7, 14, 21, 25])])
+    def test_snapshot_names(self, runner, tmp_path, stride, steps):
+        out = tmp_path / "s"
+        res = run_cli(runner, [
+            "simulate", "diffusion", "--n", "32", "--forcing", "0", "--nu", "1",
+            "--steps", "25", "--snapshot-stride", str(stride), "--out", str(out),
+        ])
+        assert res.exit_code == 0
+        assert sorted(p.name for p in out.glob("snap_*.csv")) == \
+               [f"snap_{s:08d}.csv" for s in steps]
+
+    @pytest.mark.parametrize("flags", [
+        ["--steps", "0"],
+        ["--steps", "-3"],
+        ["--snapshot-stride", "-5"],
+        ["--length", "0"],
+        ["--length", "-1"],
+        ["--nu", "nan"],
+        ["--forcing", "nan"],
+        ["--dt", "inf"],
+    ], ids=["steps-zero", "steps-negative", "stride-negative", "length-zero",
+            "length-negative", "nu-nan", "forcing-nan", "dt-inf"])
+    def test_bad_value_exit_2(self, runner, tmp_path, flags):
+        out = tmp_path / "sim"
+        res = runner.invoke(main, [
+            "simulate", "burgers", "--n", "64", "--dt", "1e-3", "--nu", "0.01",
+            "--steps", "20", "--out", str(out),
+        ] + flags)
+        assert res.exit_code == 2
+        assert not out.exists()
 
 
 def make_triad_csv(runner, tmp_path, coupled, seed=17):

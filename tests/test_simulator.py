@@ -115,6 +115,13 @@ class TestRun:
         # snapshots at steps 10, 20 plus the final state
         assert len(out.snapshots) == 3
 
+    @pytest.mark.parametrize("stride, steps", [(0, [25]), (5, [5, 10, 15, 20, 25]),
+                                               (10, [10, 20, 25])])
+    def test_snapshot_steps(self, stride, steps):
+        out = run(diffusion_config(n_steps=25, snapshot_stride=stride))
+        assert [s for s, _ in out.snapshots] == steps
+        assert np.array_equal(out.snapshots[-1][1], out.final_state.u)
+
     def test_diffusion_monotone_decay(self):
         config = diffusion_config(n_steps=500, probe_index=64)  # probe at the sine peak
         out = run(config)
