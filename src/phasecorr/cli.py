@@ -26,6 +26,7 @@ from .io import (
     save_grid,
     write_heatmap_csv,
     write_series_csv,
+    write_snapshot_csv,
     write_spectrum_csv,
 )
 from .market import build_series, load_ohlc_csv
@@ -205,13 +206,9 @@ def cmd_simulate(ctx, equation, n, length, dt, nu, forcing, steps, probe_index,
     outputs = ["probe.csv", "spectrum.csv"]
     write_series_csv(out_dir / "probe.csv", result.probe_series)
     write_spectrum_csv(out_dir / "spectrum.csv", result.final_spatial_spectrum, config.n_grid)
-    x = np.arange(config.n_grid) * (config.length / config.n_grid)
     for step_no, u in result.snapshots:
         name = f"snap_{step_no:08d}.csv"
-        with open(out_dir / name, "w") as fh:
-            fh.write("x,u\n")
-            for xi, ui in zip(x, u):
-                fh.write(f"{float(xi)!r},{float(ui)!r}\n")
+        write_snapshot_csv(out_dir / name, u, config.length)
         outputs.append(name)
     _write_manifest(out_dir, f"simulate {equation}", ctx.params, [], outputs)
     click.echo(f"completed {config.n_steps} steps; outputs in {out_dir}")

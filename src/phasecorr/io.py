@@ -1,6 +1,6 @@
-"""Canonical on-disk formats: series and spectrum CSVs, the binary
-bispectrum grid, the bicoherence heatmap CSV and the plain-text hotspot
-report."""
+"""Canonical on-disk formats: series, spectrum and solver-snapshot CSVs,
+the binary bispectrum grid, the bicoherence heatmap CSV and the plain-text
+hotspot report."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ __all__ = [
     "write_series_csv",
     "read_series_csv",
     "write_spectrum_csv",
+    "write_snapshot_csv",
     "save_grid",
     "load_grid",
     "write_heatmap_csv",
@@ -58,6 +59,16 @@ def write_spectrum_csv(path: str | Path, power: np.ndarray, n: int) -> None:
         fh.write("bin,frequency_rad_per_sample,power\n")
         for k, p in enumerate(np.asarray(power, dtype=float).tolist()):
             fh.write(f"{k},{2.0 * math.pi * k / n!r},{p!r}\n")
+
+
+def write_snapshot_csv(path: str | Path, u: np.ndarray, length: float) -> None:
+    """One ``x,u`` row per grid point x_j = j * length / n of a periodic field."""
+    n = len(u)
+    x = np.arange(n) * (length / n)
+    with open(path, "w") as fh:
+        fh.write("x,u\n")
+        for xi, ui in zip(x.tolist(), np.asarray(u, dtype=float).tolist()):
+            fh.write(f"{xi!r},{ui!r}\n")
 
 
 def save_grid(path: str | Path, grid: BispectrumGrid) -> None:

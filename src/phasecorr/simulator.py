@@ -1,11 +1,16 @@
 """Pseudo-spectral solver for the stochastically forced 1-D Burgers and
 diffusion equations on a periodic domain.
 
-Spatial derivatives are evaluated in wavenumber space, the quadratic
-nonlinearity is formed in physical space under the 2/3 dealiasing rule,
-and time stepping is classical 4-stage Runge-Kutta with the forcing field
-frozen across the stages of a step.  Forcing is i.i.d. uniform in [-A, A]
-per grid point per step, demeaned and not scaled by sqrt(dt).
+The state is advanced in wavenumber space under the 2/3 dealiasing rule,
+with classical 4-stage Runge-Kutta and the forcing field frozen across the
+stages of a step.  The nonlinearity is taken in conservative form,
+``(u u_x)^ = (ik/2) (u^2)^``: with only |k| <= n/3 retained, every alias of
+the physical-space square lands above n/3 and is masked, so each stage needs
+one inverse and one forward transform.  ``step`` returns the masked spectrum
+with the field and takes it back on the next call, so a run never
+re-transforms its own field; 9 real FFTs make a Burgers step.  Forcing is
+i.i.d. uniform in [-A, A] per grid point per step, demeaned and not scaled by
+sqrt(dt).
 """
 
 from __future__ import annotations
@@ -69,9 +74,13 @@ class SolverConfig:
 
 @dataclass
 class FieldState:
+    """The field after ``step`` steps.  ``uh`` is the masked rfft of ``u`` that
+    ``step`` returns and reuses on the next call; None derives it from ``u``."""
+
     u: np.ndarray
     time: float = 0.0
     step: int = 0
+    uh: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -83,12 +92,12 @@ class SimOutput:
 
 
 @functools.lru_cache(maxsize=8)
-def _spectral_operators(n: int, length: float):
-    """(ik, -k^2 prefactors on the rfft grid, 2/3-rule mask)."""
+def _spectral_operators(n: int, length: float, nu: float):
+    """(-nu k^2, 2/3-rule-masked ik/2, the mask itself) on the rfft grid."""
     k = np.fft.rfftfreq(n, d=1.0 / n)  # integer wavenumbers 0..n/2
     kphys = k * (2.0 * np.pi / length)
     mask = k <= n // 3
-    return 1j * kphys, kphys**2, mask
+    return -nu * kphys**2, np.where(mask, 0.5j * kphys, 0.0), mask
 
 
 def init_field(config: SolverConfig) -> FieldState:
@@ -111,37 +120,41 @@ def step(state: FieldState, config: SolverConfig) -> FieldState:
     BlowUp when the updated field is non-finite or exceeds 1e6.
     """
     n = config.n_grid
-    ik, ksq, mask = _spectral_operators(n, config.length)
+    lin, ik_half, mask = _spectral_operators(n, config.length, config.nu)
     nonlinear = config.equation == "burgers"
 
-    u0 = state.u
+    u = state.u
     if nonlinear:
-        cfl = config.dt * float(np.abs(u0).max()) / (config.length / n)
+        cfl = config.dt * float(np.abs(u).max()) / (config.length / n)
         if cfl >= 1.0:
             raise CflViolation(state.step, cfl)
+    uh = state.uh
+    if uh is None:
+        uh = np.fft.rfft(u) * mask
+        u = np.fft.irfft(uh, n)  # the dealiased field the spectrum stands for
 
     fh = np.fft.rfft(_forcing(config, state.step)) * mask
 
-    def rhs(uh):
-        r = -config.nu * ksq * uh + fh
+    # every term is masked, so the right-hand side and the update stay masked
+    def rhs(uh, u=None):
+        r = lin * uh + fh
         if nonlinear:
-            u = np.fft.irfft(uh, n)
-            ux = np.fft.irfft(ik * uh, n)
-            r = r - np.fft.rfft(u * ux) * mask
+            if u is None:
+                u = np.fft.irfft(uh, n)
+            r -= ik_half * np.fft.rfft(u * u)
         return r
 
     dt = config.dt
-    uh = np.fft.rfft(u0) * mask
-    r1 = rhs(uh)
+    r1 = rhs(uh, u)
     r2 = rhs(uh + 0.5 * dt * r1)
     r3 = rhs(uh + 0.5 * dt * r2)
     r4 = rhs(uh + dt * r3)
-    uh = (uh + (dt / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)) * mask
+    uh = uh + (dt / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
     u = np.fft.irfft(uh, n)
 
-    if not np.isfinite(u).all() or np.abs(u).max() > BLOWUP_LIMIT:
+    if not np.abs(u).max() <= BLOWUP_LIMIT:  # also true for NaN
         raise BlowUp(state.step)
-    return FieldState(u=u, time=state.time + dt, step=state.step + 1)
+    return FieldState(u=u, time=state.time + dt, step=state.step + 1, uh=uh)
 
 
 def run(config: SolverConfig) -> SimOutput:

@@ -236,6 +236,10 @@ def segmented_bispectrum(
     products and normalizers are averaged arithmetically over all M full
     segments; samples after the last full segment are not used.  The
     reduction order is fixed, so results are bit-stable across runs.
+
+    A detrended segment under the rectangular window has no DC term, so its
+    k = 0 coefficient is set to exactly 0: the k = 0 row and column of the
+    bicoherence read 0 and are not tested bins.
     """
     v = series.values
     n = len(v)
@@ -260,7 +264,11 @@ def segmented_bispectrum(
         seg = seg - (slope[:, None] * t + intercept[:, None])
     if window == "hann":
         seg = seg * np.hanning(segment_length)
-    return _average_triple_products(np.fft.rfft(seg, axis=1), segment_length)
+    F = np.fft.rfft(seg, axis=1)
+    if detrend != "none" and window == "rectangular":
+        # detrending leaves only roundoff at k = 0, and b^2 of roundoff is noise
+        F[:, 0] = 0.0
+    return _average_triple_products(F, segment_length)
 
 
 def bicoherence(grid: BispectrumGrid) -> np.ndarray:

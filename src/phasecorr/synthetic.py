@@ -55,8 +55,11 @@ class TriadSpec:
             raise ValueError("omega_alpha and omega_beta must differ")
         if self.n_samples < 2:
             raise ValueError("n_samples must be >= 2")
-        if self.noise_amplitude < 0:
-            raise ValueError("noise_amplitude must be >= 0")
+        if not (0 <= self.noise_amplitude < math.inf):
+            raise ValueError(f"noise_amplitude must be finite and >= 0, "
+                             f"got {self.noise_amplitude}")
+        if self.phase_block is not None and self.phase_block < 1:
+            raise ValueError(f"phase_block must be >= 1 or None, got {self.phase_block}")
         for w in (self.omega_alpha, self.omega_beta):
             if not (0 < w < math.pi):
                 raise FrequencyAboveNyquist(f"frequency {w} outside (0, pi)")
@@ -79,8 +82,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.n_samples < 2:
             raise ValueError("n_samples must be >= 2")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be >= 0")
+        if not (0 <= self.amplitude < math.inf):
+            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
 
 
 def gen_triad(spec: TriadSpec) -> TimeSeries:

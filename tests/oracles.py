@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's FFT path: the transform is the
 literal O(N^2) definition sum and the bispectrum a literal triple loop.
-The OHLCV oracle is the row-at-a-time loader the columnar one replaced.
+The OHLCV oracle is the row-at-a-time loader the columnar one replaced,
+and the solver oracle the physical-space RK4 step that the spectral-state
+one replaced.
 """
 
 import numpy as np
@@ -111,3 +113,65 @@ def legacy_load_ohlc_csv(path, schema=None):
     counts["n_records_out"] = len(records)
     counts["sessions_detected"] = counts["n_gaps"] + 1
     return records, counts
+
+
+def legacy_step(state, config):
+    """The solver step that the spectral-state one replaced: it transforms the
+    field in and out on every call and forms u * u_x in physical space."""
+    from phasecorr.errors import BlowUp, CflViolation
+    from phasecorr.simulator import FieldState
+
+    n = config.n_grid
+    k = np.fft.rfftfreq(n, d=1.0 / n)
+    kphys = k * (2.0 * np.pi / config.length)
+    ik, ksq, mask = 1j * kphys, kphys**2, k <= n // 3
+    nonlinear = config.equation == "burgers"
+
+    u0 = state.u
+    if nonlinear:
+        cfl = config.dt * float(np.abs(u0).max()) / (config.length / n)
+        if cfl >= 1.0:
+            raise CflViolation(state.step, cfl)
+
+    rng = np.random.default_rng([config.seed, state.step])
+    f = config.forcing_amplitude * rng.uniform(-1.0, 1.0, config.n_grid)
+    f -= f.mean()
+    fh = np.fft.rfft(f) * mask
+
+    def rhs(uh):
+        r = -config.nu * ksq * uh + fh
+        if nonlinear:
+            u = np.fft.irfft(uh, n)
+            ux = np.fft.irfft(ik * uh, n)
+            r = r - np.fft.rfft(u * ux) * mask
+        return r
+
+    dt = config.dt
+    uh = np.fft.rfft(u0) * mask
+    r1 = rhs(uh)
+    r2 = rhs(uh + 0.5 * dt * r1)
+    r3 = rhs(uh + 0.5 * dt * r2)
+    r4 = rhs(uh + dt * r3)
+    uh = (uh + (dt / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)) * mask
+    u = np.fft.irfft(uh, n)
+
+    if not np.isfinite(u).all() or np.abs(u).max() > 1e6:
+        raise BlowUp(state.step)
+    return FieldState(u=u, time=state.time + dt, step=state.step + 1)
+
+
+def legacy_run(config):
+    """The run loop over ``legacy_step``: (probe values, snapshots, final state)."""
+    from phasecorr.simulator import init_field
+
+    state = init_field(config)
+    probe = np.empty(config.n_steps)
+    snapshots = []
+    for i in range(config.n_steps):
+        state = legacy_step(state, config)
+        probe[i] = state.u[config.probe_index]
+        if config.snapshot_stride and state.step % config.snapshot_stride == 0:
+            snapshots.append((state.step, state.u.copy()))
+    if not snapshots or snapshots[-1][0] != state.step:
+        snapshots.append((state.step, state.u.copy()))
+    return probe, snapshots, state

@@ -53,6 +53,17 @@ class TestGenerate:
         assert (tmp_path / "a" / "series.csv").read_bytes() == \
                (tmp_path / "b" / "series.csv").read_bytes()
 
+    @pytest.mark.parametrize("args", [
+        ["triad", "--omega-a", "0.22", "--omega-b", "0.375", "--phase-block", "-5"],
+        ["triad", "--omega-a", "0.22", "--omega-b", "0.375", "--noise", "nan"],
+        ["noise", "--amplitude", "nan"],
+    ], ids=["phase-block-negative", "noise-nan", "amplitude-nan"])
+    def test_bad_value_exit_2(self, runner, tmp_path, args):
+        out = tmp_path / "g"
+        res = runner.invoke(main, ["generate"] + args + ["--n", "64", "--out", str(out)])
+        assert res.exit_code == 2
+        assert not out.exists()
+
     def test_config_file_override(self, runner, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text("n=128\nseed=9\n")

@@ -11,6 +11,7 @@ from phasecorr.io import (
     save_grid,
     write_heatmap_csv,
     write_series_csv,
+    write_snapshot_csv,
     write_spectrum_csv,
 )
 
@@ -57,6 +58,15 @@ def test_spectrum_bytes_match_row_format(tmp_path):
     want = "bin,frequency_rad_per_sample,power\n" + "".join(
         f"{k},{2.0 * math.pi * k / n!r},{float(p)!r}\n" for k, p in enumerate(power))
     assert (tmp_path / "p.csv").read_text() == want
+
+
+@pytest.mark.parametrize("length", [2.0 * math.pi, 1.0, 7.3])
+def test_snapshot_bytes_match_row_format(tmp_path, length):
+    u = awkward_values(1024)
+    write_snapshot_csv(tmp_path / "s.csv", u, length)
+    x = np.arange(len(u)) * (length / len(u))
+    want = "x,u\n" + "".join(f"{float(xi)!r},{float(ui)!r}\n" for xi, ui in zip(x, u))
+    assert (tmp_path / "s.csv").read_text() == want
 
 
 def small_grid():

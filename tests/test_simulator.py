@@ -13,6 +13,8 @@ from phasecorr import (
 )
 from phasecorr.errors import BlowUp, CflViolation
 
+from oracles import legacy_run, legacy_step
+
 
 def diffusion_config(**kw):
     base = dict(n_grid=256, dt=1e-4, nu=1.0, forcing_amplitude=0.0,
@@ -144,6 +146,72 @@ class TestRun:
         config = burgers_config(forcing_amplitude=3.0, n_steps=10_000, dt=1e-4, nu=0.01)
         out = run(config)
         assert abs(out.final_state.u.mean()) < 1e-9
+
+
+class TestAgainstLegacy:
+    """The spectral-state step against the physical-space step it replaced."""
+
+    @pytest.mark.parametrize("config", [
+        SolverConfig(n_grid=256, dt=1e-4, nu=3e-3, forcing_amplitude=6.0, seed=5,
+                     n_steps=2000, probe_index=17, snapshot_stride=700),
+        SolverConfig(n_grid=1024, dt=1e-4, nu=3e-3, forcing_amplitude=6.0, seed=1,
+                     n_steps=2000),
+        SolverConfig(n_grid=256, dt=1e-3, nu=0.05, forcing_amplitude=4.0, seed=2,
+                     equation="diffusion", n_steps=2000, snapshot_stride=500),
+    ], ids=["burgers-256", "burgers-1024", "diffusion-256"])
+    def test_run(self, config):
+        out = run(config)
+        probe, snapshots, final = legacy_run(config)
+        assert np.abs(out.probe_series.values - probe).max() <= 1e-11
+        assert [s for s, _ in out.snapshots] == [s for s, _ in snapshots]
+        for (_, got), (_, want) in zip(out.snapshots, snapshots):
+            assert np.abs(got - want).max() <= 1e-11
+        assert (out.final_state.step, out.final_state.time) == (final.step, final.time)
+        assert np.abs(out.final_state.u - final.u).max() <= 1e-11
+
+    @pytest.mark.parametrize("equation", ["burgers", "diffusion"])
+    def test_step_on_bare_state(self, equation):
+        # a field with every mode, on a state at a later step and time
+        config = SolverConfig(n_grid=128, dt=1e-3, nu=0.02, forcing_amplitude=3.0,
+                              equation=equation, seed=4, n_steps=10)
+        u = np.random.default_rng(6).normal(size=128)
+        state = FieldState(u=u, time=0.37, step=12)
+        got, want = step(state, config), legacy_step(state, config)
+        assert (got.step, got.time) == (want.step, want.time) == (13, 0.37 + 1e-3)
+        assert np.abs(got.u - want.u).max() <= 1e-12
+        # a carried spectrum gives the same next step as the bare field
+        again = step(FieldState(u=got.u, time=got.time, step=got.step), config)
+        assert np.abs(step(got, config).u - again.u).max() <= 1e-12
+
+    @pytest.mark.parametrize("kw, error, at", [
+        (dict(equation="burgers", dt=2e-2, nu=1e-3, forcing_amplitude=40.0), CflViolation, 16),
+        (dict(equation="burgers", dt=1e-2, nu=1e-3, forcing_amplitude=100.0), CflViolation, 80),
+        (dict(equation="diffusion", dt=1e-2, nu=0.0, forcing_amplitude=1e7), BlowUp, 48),
+    ], ids=["cfl-16", "cfl-80", "blowup-48"])
+    def test_failure_step_index(self, kw, error, at):
+        config = SolverConfig(n_grid=64, seed=3, n_steps=400, **kw)
+        with pytest.raises(error) as got:
+            run(config)
+        with pytest.raises(error) as want:
+            legacy_run(config)
+        assert got.value.step == want.value.step == at
+
+    def test_nan_field_is_blowup(self):
+        config = diffusion_config()
+        with pytest.raises(BlowUp):
+            step(FieldState(u=np.full(256, np.nan)), config)
+
+    @pytest.mark.parametrize("equation, ffts", [("burgers", 9), ("diffusion", 2)])
+    def test_carried_step_fft_count(self, monkeypatch, equation, ffts):
+        config = burgers_config(equation=equation, forcing_amplitude=1.0)
+        state = step(init_field(config), config)
+        calls = []
+        for name in ("rfft", "irfft"):
+            real = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name,
+                                lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
+        step(state, config)
+        assert len(calls) == ffts
 
 
 class TestSpatialSpectrum:

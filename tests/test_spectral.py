@@ -281,6 +281,27 @@ class TestSegmentedBispectrum:
         g = segmented_bispectrum(TimeSeries(np.concatenate(blocks)), seg)
         assert g.bicoherence_at(ka, kb) < 3 / np.sqrt(n_seg)
 
+    @pytest.mark.parametrize("detrend, seed", [("demean", 23), ("linear", 3)])
+    def test_detrended_dc_is_zero(self, detrend, seed):
+        # white noise on an offset: detrending leaves only roundoff at k = 0, which
+        # used to give b^2 hotspots on the k2 = 0 column, (0, 0) among them
+        v = 100.0 + np.random.default_rng(seed).normal(size=64 * 64)
+        g = segmented_bispectrum(TimeSeries(v), 64, detrend=detrend)
+        d = g.dense()
+        assert not d[0].any() and not d[:, 0].any()
+        report = detect_hotspots(g)
+        assert report.hotspots == []
+        assert report.verdict is Verdict.FULLY_DEVELOPED_TURBULENCE_CONSISTENT
+
+    @pytest.mark.parametrize("window, detrend", [("hann", "demean"), ("hann", "linear"),
+                                                 ("rectangular", "none")])
+    def test_real_dc_term_kept(self, window, detrend):
+        v = 100.0 + np.random.default_rng(3).normal(size=64 * 64)
+        g = segmented_bispectrum(TimeSeries(v), 64, window=window, detrend=detrend)
+        d = g.dense()
+        assert (d[0] > 0).sum() == g.half + 1
+        assert d[0, 0] > 0.1
+
     def test_hann_and_overlap_run(self):
         s = seeded_series(1, 2048)
         g = segmented_bispectrum(s, 256, overlap_fraction=0.5, window="hann", detrend="linear")

@@ -33,6 +33,22 @@ class TestTriadSpec:
         with pytest.raises(ValueError):
             TriadSpec(omega_alpha=0.3, omega_beta=0.3)
 
+    @pytest.mark.parametrize("block", [0, -5])
+    def test_phase_block_below_one_rejected(self, block):
+        with pytest.raises(ValueError, match="phase_block"):
+            TriadSpec(omega_alpha=0.22, omega_beta=0.375, phase_block=block)
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, -0.1])
+    def test_noise_amplitude_not_finite_nonnegative_rejected(self, noise):
+        with pytest.raises(ValueError, match="noise_amplitude"):
+            TriadSpec(omega_alpha=0.22, omega_beta=0.375, noise_amplitude=noise)
+
+
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, -1.0])
+def test_noise_spec_amplitude_rejected(amplitude):
+    with pytest.raises(ValueError, match="amplitude"):
+        NoiseSpec(n_samples=64, amplitude=amplitude)
+
 
 class TestGenTriad:
     def test_dominant_bins(self):
