@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-import shutil
+import os
 import sys
 from pathlib import Path
 
@@ -30,10 +30,9 @@ from .io import (
     write_spectrum_csv,
 )
 from .market import build_series, load_ohlc_csv
-from .simulator import SolverConfig, run as run_simulation
+from .simulator import SolverConfig, run as run_simulation, spatial_energy_spectrum
 from .spectral import (
     BispectrumGrid,
-    TimeSeries,
     detect_hotspots,
     dft_forward,
     power_spectrum,
@@ -48,6 +47,9 @@ from .synthetic import (
 )
 
 GRID_FILE = "bispectrum.npz"
+# what analyze writes besides its manifest, and report reads or references
+ANALYSIS_FILES = ("raw_series.csv", "spectrum.csv", GRID_FILE, "hotspots.txt")
+HEATMAP_FILE = "heatmap.csv"
 
 
 def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
@@ -205,7 +207,8 @@ def cmd_simulate(ctx, equation, n, length, dt, nu, forcing, steps, probe_index,
         sys.exit(3)
     outputs = ["probe.csv", "spectrum.csv"]
     write_series_csv(out_dir / "probe.csv", result.probe_series)
-    write_spectrum_csv(out_dir / "spectrum.csv", result.final_spatial_spectrum, config.n_grid)
+    write_spectrum_csv(out_dir / "spectrum.csv", spatial_energy_spectrum(result.final_state),
+                       config.n_grid)
     for step_no, u in result.snapshots:
         name = f"snap_{step_no:08d}.csv"
         write_snapshot_csv(out_dir / name, u, config.length)
@@ -273,18 +276,16 @@ def cmd_analyze(ctx, input_path, ohlc, price_field, transform, segments, segment
     write_spectrum_csv(out_dir / "spectrum.csv", power_spectrum(dft_forward(series)), len(series))
     save_grid(out_dir / GRID_FILE, grid)
     (out_dir / "hotspots.txt").write_text(format_hotspot_report(hotspots))
-    _write_manifest(out_dir, "analyze", ctx.params, [input_path],
-                    ["raw_series.csv", "spectrum.csv", GRID_FILE, "hotspots.txt"])
+    _write_manifest(out_dir, "analyze", ctx.params, [input_path], list(ANALYSIS_FILES))
     click.echo(hotspots.verdict.value)
 
 
-# (panel, file in the report bundle, plot kind, file of the analysis it comes
-# from): a panel is copied when the two files match, and the heatmap is derived
-# from the grid
+# (panel, file, plot kind): the heatmap is derived from the grid into the
+# report bundle, and the other panels are analysis files it references
 REPORT_PANELS = (
-    ("raw", "raw_series.csv", "line", "raw_series.csv"),
-    ("spectrum", "spectrum.csv", "loglog", "spectrum.csv"),
-    ("bicoherence_heatmap", "heatmap.csv", "heatmap", GRID_FILE),
+    ("raw", "raw_series.csv", "line"),
+    ("spectrum", "spectrum.csv", "loglog"),
+    ("bicoherence_heatmap", HEATMAP_FILE, "heatmap"),
 )
 
 
@@ -295,10 +296,16 @@ REPORT_PANELS = (
               help="Also rasterize panels to PNG when matplotlib is available.")
 @click.pass_context
 def cmd_report(ctx, analysis_dir, out, render):
-    """Assemble the three-panel data bundle from a completed analyze run."""
+    """Assemble the three-panel data bundle from a completed analyze run.
+
+    The bundle holds the heatmap and refers to the other panels and the
+    verdict by paths relative to itself, so the analysis must stay put.
+    """
     src = Path(analysis_dir)
-    sources = [source for *_, source in REPORT_PANELS]
-    for name in sources + ["hotspots.txt"]:
+    src_real, out_real = src.resolve(), Path(out).resolve()
+    if out_real == src_real:
+        raise click.UsageError("--out must not be the analysis directory")
+    for name in ANALYSIS_FILES:
         if not (src / name).exists():
             click.echo(f"missing input file: {src / name}", err=True)
             sys.exit(2)
@@ -308,26 +315,22 @@ def cmd_report(ctx, analysis_dir, out, render):
         click.echo(f"input error: {exc}", err=True)
         sys.exit(2)
     out_dir = _prepare_out(out)
-    outputs = []
-    for _, name, _, source in REPORT_PANELS:
-        if source == name:
-            shutil.copyfile(src / name, out_dir / name)
-        else:
-            write_heatmap_csv(out_dir / name, grid)
-        outputs.append(name)
-    shutil.copyfile(src / "hotspots.txt", out_dir / "hotspots.txt")
-    outputs.append("hotspots.txt")
+    write_heatmap_csv(out_dir / HEATMAP_FILE, grid)
+
+    def ref(name: str) -> str:
+        return name if name == HEATMAP_FILE else os.path.relpath(src_real / name, out_real)
+
     index = {
-        "panels": [{"name": panel, "file": name, "kind": kind}
-                   for panel, name, kind, _ in REPORT_PANELS],
-        "verdict_file": "hotspots.txt",
+        "panels": [{"name": panel, "file": ref(name), "kind": kind}
+                   for panel, name, kind in REPORT_PANELS],
+        "verdict_file": ref("hotspots.txt"),
     }
     (out_dir / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
-    outputs.append("index.json")
+    outputs = [HEATMAP_FILE, "index.json"]
     if render:
-        rendered = _render_panels(src, out_dir, grid)
-        outputs.extend(rendered)
-    _write_manifest(out_dir, "report", ctx.params, [str(src / n) for n in sources], outputs)
+        outputs.extend(_render_panels(src, out_dir, grid))
+    _write_manifest(out_dir, "report", ctx.params, [str(src / n) for n in ANALYSIS_FILES],
+                    outputs)
     click.echo(f"report written to {out_dir}")
 
 

@@ -34,7 +34,7 @@ def write_series_csv(path: str | Path, series: TimeSeries) -> None:
             fh.write(f"{t},{v!r}\n")
 
 
-def read_series_csv(path: str | Path, dt: float = 1.0) -> TimeSeries:
+def read_series_csv(path: str | Path) -> TimeSeries:
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
@@ -50,7 +50,7 @@ def read_series_csv(path: str | Path, dt: float = 1.0) -> TimeSeries:
             values.append(float(line.split(",")[1]))
         except (IndexError, ValueError) as exc:
             raise FileUnreadable(f"{path}: bad row {line!r}") from exc
-    return TimeSeries(values=np.array(values), dt=dt, label=path.stem)
+    return TimeSeries(values=np.array(values))
 
 
 def write_spectrum_csv(path: str | Path, power: np.ndarray, n: int) -> None:

@@ -75,7 +75,6 @@ class TickSeries:
     low: np.ndarray
     close: np.ndarray
     volume: np.ndarray
-    instrument: str = ""
 
     @property
     def records(self) -> list[TickRecord]:
@@ -183,7 +182,6 @@ def _gc_paused():
 def load_ohlc_csv(
     path: str | Path,
     schema: dict[str, str] | None = None,
-    instrument: str = "",
 ) -> tuple[TickSeries, CleaningReport]:
     """Parse an OHLCV CSV, drop invalid rows, and report what was cleaned.
 
@@ -252,9 +250,7 @@ def load_ohlc_csv(
         raise NoValidRows(f"{path} contains no valid OHLCV rows")
     report.sessions_detected = report.n_gaps + 1
     secs, o, h, l, c, v = (np.concatenate(col) for col in zip(*kept))
-    ticks = TickSeries(secs.view("datetime64[s]"), o, h, l, c, v,
-                       instrument=instrument or path.stem)
-    return ticks, report
+    return TickSeries(secs.view("datetime64[s]"), o, h, l, c, v), report
 
 
 def build_series(
@@ -286,4 +282,4 @@ def build_series(
         raise ValueError(f"unknown transform {transform!r}")
     if len(v) < 2:
         raise TooShort("series shorter than 2 after transform")
-    return TimeSeries(values=v, dt=1.0, label=f"{ticks.instrument}-{price_field}-{transform}")
+    return TimeSeries(values=v, dt=1.0)

@@ -86,9 +86,8 @@ class FieldState:
 @dataclass
 class SimOutput:
     probe_series: TimeSeries
+    final_state: FieldState
     snapshots: list[tuple[int, np.ndarray]] = field(default_factory=list)  # (step, u)
-    final_spatial_spectrum: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    final_state: FieldState | None = None
 
 
 @functools.lru_cache(maxsize=8)
@@ -174,17 +173,8 @@ def run(config: SolverConfig) -> SimOutput:
             snapshots.append((state.step, state.u.copy()))
     if not snapshots or snapshots[-1][0] != state.step:
         snapshots.append((state.step, state.u.copy()))
-    series = TimeSeries(
-        values=probe,
-        dt=config.dt,
-        label=f"{config.equation}-probe{config.probe_index}-seed{config.seed}",
-    )
-    return SimOutput(
-        probe_series=series,
-        snapshots=snapshots,
-        final_spatial_spectrum=spatial_energy_spectrum(state),
-        final_state=state,
-    )
+    series = TimeSeries(values=probe, dt=config.dt)
+    return SimOutput(probe_series=series, final_state=state, snapshots=snapshots)
 
 
 def spatial_energy_spectrum(state: FieldState) -> np.ndarray:

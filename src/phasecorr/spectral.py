@@ -47,12 +47,10 @@ class TimeSeries:
 
     values : samples in signal units
     dt     : sample interval, finite and strictly positive (default 1)
-    label  : free-form provenance tag
     """
 
     values: np.ndarray
     dt: float = 1.0
-    label: str = ""
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)

@@ -109,8 +109,7 @@ def gen_triad(spec: TriadSpec) -> TimeSeries:
         if spec.noise_amplitude > 0:
             seg = seg + spec.noise_amplitude * rng.uniform(-1.0, 1.0, m)
         out[start : start + m] = seg
-    label = f"triad-{spec.coupling}-{spec.frequency_rule}-seed{spec.seed}"
-    return TimeSeries(values=out, dt=1.0, label=label)
+    return TimeSeries(values=out, dt=1.0)
 
 
 def gen_white_uniform(spec: NoiseSpec) -> TimeSeries:
@@ -118,7 +117,7 @@ def gen_white_uniform(spec: NoiseSpec) -> TimeSeries:
     rng = np.random.default_rng(spec.seed)
     v = rng.uniform(-spec.amplitude, spec.amplitude, spec.n_samples)
     v -= v.mean()
-    return TimeSeries(values=v, dt=1.0, label=f"white-uniform-seed{spec.seed}")
+    return TimeSeries(values=v, dt=1.0)
 
 
 def box_muller_pair(u1: float, u2: float) -> float:
@@ -134,4 +133,4 @@ def gen_gaussian_box_muller(spec: NoiseSpec) -> TimeSeries:
     u1 = 1.0 - rng.random(spec.n_samples)  # (0, 1]
     u2 = rng.random(spec.n_samples)
     v = spec.amplitude * np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-    return TimeSeries(values=v, dt=1.0, label=f"gaussian-box-muller-seed{spec.seed}")
+    return TimeSeries(values=v, dt=1.0)

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import numpy as np
@@ -308,12 +309,36 @@ class TestReport:
         index = json.loads((rep / "index.json").read_text())
         assert len(index["panels"]) == 3
 
-    def test_missing_grid_exit_2(self, runner, tmp_path):
+    @pytest.mark.parametrize(
+        "name", ["raw_series.csv", "spectrum.csv", "bispectrum.npz", "hotspots.txt"])
+    def test_missing_input_exit_2(self, runner, tmp_path, name):
         an = self.completed_analysis(runner, tmp_path)
-        (an / "bispectrum.npz").unlink()
-        res = runner.invoke(main, ["report", str(an), "--out", str(tmp_path / "rep")])
+        (an / name).unlink()
+        rep = tmp_path / "rep"
+        res = runner.invoke(main, ["report", str(an), "--out", str(rep)])
         assert res.exit_code == 2
-        assert "bispectrum.npz" in res.output
+        assert name in res.output
+        assert not rep.exists()
+
+    @pytest.mark.parametrize("spelling", [".", "../an"], ids=["same", "respelled"])
+    def test_out_is_analysis_dir_exit_2(self, runner, tmp_path, spelling):
+        an = self.completed_analysis(runner, tmp_path)
+        before = {f.name: f.read_bytes() for f in an.iterdir()}
+        res = runner.invoke(main, ["report", str(an), "--out", str(an / spelling)])
+        assert res.exit_code == 2
+        assert "analysis directory" in res.output
+        assert {f.name: f.read_bytes() for f in an.iterdir()} == before
+
+    def test_render_without_matplotlib(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setitem(sys.modules, "matplotlib", None)
+        an = self.completed_analysis(runner, tmp_path)
+        rep = tmp_path / "rep"
+        res = runner.invoke(main, ["report", str(an), "--out", str(rep), "--render"])
+        assert res.exit_code == 0
+        assert "matplotlib unavailable; skipping rendering" in res.output
+        outputs = json.loads((rep / "manifest.json").read_text())["outputs"]
+        assert outputs == ["heatmap.csv", "index.json"]
+        assert not list(rep.glob("*.png"))
 
     def test_report_heatmap_from_grid(self, runner, tmp_path):
         an = self.completed_analysis(runner, tmp_path)
@@ -329,6 +354,15 @@ class TestReport:
         r1, r2 = tmp_path / "r1", tmp_path / "r2"
         run_cli(runner, ["report", str(an), "--out", str(r1)])
         run_cli(runner, ["report", str(an), "--out", str(r2)])
-        for name in ("index.json", "raw_series.csv", "spectrum.csv", "heatmap.csv",
-                     "hotspots.txt"):
+        written = sorted(f.name for f in r1.iterdir())
+        assert written == ["heatmap.csv", "index.json", "manifest.json"]
+        for name in written:
             assert (r1 / name).read_bytes() == (r2 / name).read_bytes()
+        # every entry resolves, from the report directory, to the file it names
+        index = json.loads((r1 / "index.json").read_text())
+        files = {p["name"]: p["file"] for p in index["panels"]}
+        files["verdict"] = index["verdict_file"]
+        expected = {"raw": an / "raw_series.csv", "spectrum": an / "spectrum.csv",
+                    "bicoherence_heatmap": r1 / "heatmap.csv", "verdict": an / "hotspots.txt"}
+        assert {k: (r1 / f).resolve() for k, f in files.items()} == {
+            k: f.resolve() for k, f in expected.items()}
