@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 
 from .spectral import (  # noqa: F401
     BispectrumGrid,
-    ComplexSpectrum,
     HotspotReport,
     TimeSeries,
     Verdict,
@@ -38,7 +37,6 @@ from .simulator import (  # noqa: F401
 )
 from .market import (  # noqa: F401
     CleaningReport,
-    TickRecord,
     TickSeries,
     build_series,
     load_ohlc_csv,

@@ -240,6 +240,10 @@ def cmd_simulate(ctx, equation, n, length, dt, nu, forcing, steps, probe_index,
 def cmd_analyze(ctx, input_path, ohlc, price_field, transform, segments, segment_length,
                 overlap, window, detrend, threshold, min_segments, out):
     """Run the full spectral analysis on a series and print the verdict."""
+    if not ohlc and (price_field, transform) != ("close", "raw"):
+        raise click.UsageError("--field and --transform apply only with --ohlc")
+    if segments is not None and segment_length is not None:
+        raise click.UsageError("give --segments or --segment-length, not both")
     thr = threshold
     if thr != "auto":
         try:

@@ -38,7 +38,7 @@ def read_series_csv(path: str | Path) -> TimeSeries:
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
     if not lines or lines[0].strip().lower() != "t,value":
         raise FileUnreadable(f"{path} is not a t,value series CSV")

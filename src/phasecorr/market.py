@@ -24,7 +24,6 @@ from .errors import FileUnreadable, NoValidRows, SchemaMismatch, TooShort
 from .spectral import TimeSeries
 
 __all__ = [
-    "TickRecord",
     "TickSeries",
     "CleaningReport",
     "DEFAULT_SCHEMA",
@@ -52,16 +51,6 @@ _TS_SEPARATORS = {4: "-", 7: "-", 10: " ", 13: ":"}
 
 
 @dataclass
-class TickRecord:
-    timestamp: datetime
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
-
-
-@dataclass
 class TickSeries:
     """Kept bars as columns, one entry per bar, timestamps strictly increasing.
 
@@ -75,13 +64,6 @@ class TickSeries:
     low: np.ndarray
     close: np.ndarray
     volume: np.ndarray
-
-    @property
-    def records(self) -> list[TickRecord]:
-        """The bars as ``TickRecord`` objects, built on each access."""
-        return list(map(TickRecord, self.timestamps.tolist(), self.open.tolist(),
-                        self.high.tolist(), self.low.tolist(), self.close.tolist(),
-                        self.volume.tolist()))
 
 
 @dataclass
@@ -197,7 +179,7 @@ def load_ohlc_csv(
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
 
     reader = csv.reader(lines)
@@ -282,4 +264,4 @@ def build_series(
         raise ValueError(f"unknown transform {transform!r}")
     if len(v) < 2:
         raise TooShort("series shorter than 2 after transform")
-    return TimeSeries(values=v, dt=1.0)
+    return TimeSeries(values=v)

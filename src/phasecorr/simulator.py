@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlowUp, CflViolation
-from .spectral import TimeSeries
+from .spectral import TimeSeries, power_spectrum
 
 __all__ = [
     "SolverConfig",
@@ -173,12 +173,10 @@ def run(config: SolverConfig) -> SimOutput:
             snapshots.append((state.step, state.u.copy()))
     if not snapshots or snapshots[-1][0] != state.step:
         snapshots.append((state.step, state.u.copy()))
-    series = TimeSeries(values=probe, dt=config.dt)
-    return SimOutput(probe_series=series, final_state=state, snapshots=snapshots)
+    return SimOutput(probe_series=TimeSeries(values=probe), final_state=state,
+                     snapshots=snapshots)
 
 
 def spatial_energy_spectrum(state: FieldState) -> np.ndarray:
     """E(k) = |u_hat(k)|^2 for k = 0..n/2, unnormalized forward transform."""
-    n = len(state.u)
-    F = np.fft.fft(state.u)
-    return np.abs(F[: n // 2 + 1]) ** 2
+    return power_spectrum(np.fft.fft(state.u))

@@ -27,7 +27,6 @@ from .errors import (
 
 __all__ = [
     "TimeSeries",
-    "ComplexSpectrum",
     "BispectrumGrid",
     "HotspotReport",
     "Verdict",
@@ -43,14 +42,9 @@ __all__ = [
 
 @dataclass
 class TimeSeries:
-    """Uniformly sampled real-valued sequence.
-
-    values : samples in signal units
-    dt     : sample interval, finite and strictly positive (default 1)
-    """
+    """Uniformly sampled real-valued sequence: at least 2 finite samples."""
 
     values: np.ndarray
-    dt: float = 1.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -58,24 +52,9 @@ class TimeSeries:
             raise LengthTooShort(f"need at least 2 samples, got shape {self.values.shape}")
         if not np.isfinite(self.values).all():
             raise NonFiniteInput("series contains NaN or Inf")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-@dataclass
-class ComplexSpectrum:
-    """Forward-sum DFT coefficients of a series, no 1/N factor."""
-
-    coeffs: np.ndarray
-    source_length: int
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if len(self.coeffs) != self.source_length:
-            raise ValueError("coefficient count must equal source length")
 
 
 def _row_offsets(half, k1):
@@ -167,19 +146,18 @@ class HotspotReport:
     segments_averaged: int = field(default=1)
 
 
-def dft_forward(series: TimeSeries) -> ComplexSpectrum:
-    """Unnormalized forward DFT of a real series.
+def dft_forward(series: TimeSeries) -> np.ndarray:
+    """Unnormalized forward DFT of a real series: the N complex coefficients F(k).
 
     Matches the direct sum ``sum_t f(t) e^{-i 2 pi k t / N}`` to better
     than 1e-10 relative.
     """
-    return ComplexSpectrum(coeffs=np.fft.fft(series.values), source_length=len(series))
+    return np.fft.fft(series.values)
 
 
-def power_spectrum(spectrum: ComplexSpectrum) -> np.ndarray:
-    """One-sided power P(k) = |F(k)|^2 for k = 0..N//2."""
-    half = spectrum.source_length // 2
-    return np.abs(spectrum.coeffs[: half + 1]) ** 2
+def power_spectrum(F: np.ndarray) -> np.ndarray:
+    """One-sided power P(k) = |F(k)|^2 for k = 0..N//2 of the N coefficients F."""
+    return np.abs(F[: len(F) // 2 + 1]) ** 2
 
 
 def _average_triple_products(F: np.ndarray, segment_length: int) -> BispectrumGrid:
@@ -209,12 +187,12 @@ def _average_triple_products(F: np.ndarray, segment_length: int) -> BispectrumGr
                           segments_averaged=m, segment_length=segment_length)
 
 
-def bispectrum(spectrum: ComplexSpectrum) -> BispectrumGrid:
-    """Single-segment triple products F(k1) F(k2) conj(F(k1+k2))."""
-    n = spectrum.source_length
+def bispectrum(F: np.ndarray) -> BispectrumGrid:
+    """Single-segment triple products F(k1) F(k2) conj(F(k1+k2)) of the N coefficients F."""
+    n = len(F)
     if n < 8:
         raise DomainTooSmall(f"need N >= 8, got {n}")
-    return _average_triple_products(spectrum.coeffs[None, : n // 2 + 1], n)
+    return _average_triple_products(F[None, : n // 2 + 1], n)
 
 
 _WINDOWS = ("rectangular", "hann")

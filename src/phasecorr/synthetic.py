@@ -109,7 +109,7 @@ def gen_triad(spec: TriadSpec) -> TimeSeries:
         if spec.noise_amplitude > 0:
             seg = seg + spec.noise_amplitude * rng.uniform(-1.0, 1.0, m)
         out[start : start + m] = seg
-    return TimeSeries(values=out, dt=1.0)
+    return TimeSeries(values=out)
 
 
 def gen_white_uniform(spec: NoiseSpec) -> TimeSeries:
@@ -117,7 +117,7 @@ def gen_white_uniform(spec: NoiseSpec) -> TimeSeries:
     rng = np.random.default_rng(spec.seed)
     v = rng.uniform(-spec.amplitude, spec.amplitude, spec.n_samples)
     v -= v.mean()
-    return TimeSeries(values=v, dt=1.0)
+    return TimeSeries(values=v)
 
 
 def box_muller_pair(u1: float, u2: float) -> float:
@@ -133,4 +133,4 @@ def gen_gaussian_box_muller(spec: NoiseSpec) -> TimeSeries:
     u1 = 1.0 - rng.random(spec.n_samples)  # (0, 1]
     u2 = rng.random(spec.n_samples)
     v = spec.amplitude * np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-    return TimeSeries(values=v, dt=1.0)
+    return TimeSeries(values=v)

@@ -1,6 +1,7 @@
 import json
 import sys
 import time
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -118,10 +119,14 @@ class TestConfigFile:
         (["simulate", "burgers"], "steps=many\n", "--steps"),
         (["analyze", "{csv}"], "segments=0\n", "--segments"),
         (["analyze", "{csv}"], "min_segments=-1\n", "--min-segments"),
+        (["analyze", "{csv}"], "price_field=mid\n", "--field"),
+        (["analyze", "{csv}"], "transform=log_return\n", "--transform"),
+        (["analyze", "{csv}"], "segments=2\nsegment_length=64\n", "--segment-length"),
         (["generate", "noise", "--n", "64"], "bogus=1\n", "bogus"),
         (["generate", "noise", "--n", "64"], "n 128\n", "--config"),
     ], ids=["choice", "float", "float-triad", "bool", "int", "segments-zero",
-            "min-segments-negative", "unknown-key", "no-equals"])
+            "min-segments-negative", "field-without-ohlc", "transform-without-ohlc",
+            "both-segment-options", "unknown-key", "no-equals"])
     def test_bad_value_exit_2(self, runner, tmp_path, command, text, name):
         csv = write_noise_csv(runner, tmp_path, n=256)
         out = tmp_path / "out"
@@ -208,6 +213,22 @@ class TestSimulate:
         assert not out.exists()
 
 
+def write_ohlc_csv(tmp_path, n=4096):
+    """n one-minute bars of a seeded random walk, all valid."""
+    rows = ["datetime,open,high,low,close,volume"]
+    rng = np.random.default_rng(0)
+    t0 = datetime(2021, 3, 1, 9, 15)
+    price = 100.0
+    for i in range(n):
+        price *= float(np.exp(0.0001 * rng.normal()))
+        ts = t0 + timedelta(minutes=i)
+        rows.append(f"{ts:%Y-%m-%d %H:%M},{price!r},{price * 1.001!r},"
+                    f"{price * 0.999!r},{price!r},5")
+    path = tmp_path / "ohlc.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
 def make_triad_csv(runner, tmp_path, coupled, seed=17):
     out = tmp_path / ("triad_c" if coupled else "triad_u")
     args = [
@@ -253,14 +274,54 @@ class TestAnalyze:
         ["--segments", "-3"],
         ["--segments", "0"],
         ["--min-segments", "-1"],
+        ["--field", "mid"],
+        ["--transform", "log_return"],
+        ["--transform", "log_return", "--field", "open"],
+        ["--segments", "2", "--segment-length", "64"],
     ], ids=["threshold-nan", "threshold-negative", "segments-negative", "segments-zero",
-            "min-segments-negative"])
+            "min-segments-negative", "field-without-ohlc", "transform-without-ohlc",
+            "field-and-transform-without-ohlc", "both-segment-options"])
     def test_bad_value_exit_2(self, runner, tmp_path, flags):
         csv = make_triad_csv(runner, tmp_path, True)
         out = tmp_path / "an"
         res = runner.invoke(main, ["analyze", str(csv), "--out", str(out)] + flags)
         assert res.exit_code == 2
         assert flags[0] in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--field", "close", "--transform", "raw"],
+        ["--segment-length", "64"],
+    ], ids=["default-field-transform", "segment-length"])
+    def test_series_options_accepted(self, runner, tmp_path, flags):
+        csv = write_noise_csv(runner, tmp_path, n=256)
+        res = run_cli(runner, ["analyze", str(csv), "--out", str(tmp_path / "an")] + flags)
+        assert res.exit_code == 0
+
+    @pytest.mark.parametrize("flags", [
+        ["--transform", "log_return", "--segment-length", "256"],
+        ["--field", "mid", "--transform", "demean", "--segments", "16"],
+    ], ids=["log-return", "mid-demean"])
+    def test_ohlc_field_transform(self, runner, tmp_path, flags):
+        path = write_ohlc_csv(tmp_path)
+        out = tmp_path / "mk"
+        res = run_cli(runner, ["analyze", str(path), "--ohlc", "--out", str(out)] + flags)
+        assert res.exit_code == 0
+        n = len(read_series_csv(out / "raw_series.csv"))
+        assert n == (4095 if "log_return" in flags else 4096)
+
+    @pytest.mark.parametrize("data, flags", [
+        (b"t,value\n0,1.0\n1,\xe9\n", []),
+        (b"datetime,open,high,low,close,volume\n2020-01-06 09:15,100,101,99.5,100.5,\xff\n",
+         ["--ohlc"]),
+    ], ids=["series", "ohlc"])
+    def test_not_utf8_input_exit_2(self, runner, tmp_path, data, flags):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(data)
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["analyze", str(bad), "--out", str(out)] + flags)
+        assert res.exit_code == 2
+        assert "input error:" in res.output
         assert not out.exists()
 
     def test_grid_bytes_reproducible(self, runner, tmp_path, monkeypatch):
@@ -274,18 +335,7 @@ class TestAnalyze:
                (tmp_path / "b" / "bispectrum.npz").read_bytes()
 
     def test_ohlc_input(self, runner, tmp_path):
-        rows = ["datetime,open,high,low,close,volume"]
-        rng = np.random.default_rng(0)
-        from datetime import datetime, timedelta
-        t0 = datetime(2021, 3, 1, 9, 15)
-        price = 100.0
-        for i in range(4096):
-            price *= float(np.exp(0.0001 * rng.normal()))
-            ts = t0 + timedelta(minutes=i)
-            rows.append(f"{ts:%Y-%m-%d %H:%M},{price!r},{price * 1.001!r},"
-                        f"{price * 0.999!r},{price!r},5")
-        path = tmp_path / "ohlc.csv"
-        path.write_text("\n".join(rows) + "\n")
+        path = write_ohlc_csv(tmp_path)
         out = tmp_path / "mk"
         res = run_cli(runner, ["analyze", str(path), "--ohlc", "--segments", "16",
                                "--out", str(out)])

@@ -50,6 +50,11 @@ class TestSeriesCsv:
         with pytest.raises(FileUnreadable, match="bad row"):
             read_series_csv(tmp_path / "s.csv")
 
+    def test_not_utf8(self, tmp_path):
+        (tmp_path / "s.csv").write_bytes(b"t,value\n0,1.0\n1,\xe9\n")
+        with pytest.raises(FileUnreadable, match="cannot read"):
+            read_series_csv(tmp_path / "s.csv")
+
 
 def test_spectrum_bytes_match_row_format(tmp_path):
     power = np.abs(awkward_values(70_001))

@@ -5,7 +5,6 @@ import pytest
 
 import phasecorr.market as market
 from phasecorr import (
-    TickRecord,
     TriadSpec,
     Verdict,
     build_series,
@@ -34,7 +33,7 @@ VALID_ROWS = [
 class TestLoadOhlcCsv:
     def test_valid_fixture(self, tmp_path):
         ticks, report = load_ohlc_csv(write_fixture(tmp_path / "ok.csv", VALID_ROWS))
-        assert len(ticks.records) == 3
+        assert len(ticks.timestamps) == 3
         assert report.n_records_in == 3
         assert report.n_records_out == 3
         assert report.n_dropped_invalid == 0
@@ -43,14 +42,14 @@ class TestLoadOhlcCsv:
     def test_high_below_low_dropped(self, tmp_path):
         rows = VALID_ROWS + ["2020-01-06 09:18,100,99,101,100,500"]
         ticks, report = load_ohlc_csv(write_fixture(tmp_path / "bad.csv", rows))
-        assert len(ticks.records) == 3
+        assert len(ticks.timestamps) == 3
         assert report.n_dropped_invalid == 1
 
     def test_duplicate_minute_dropped(self, tmp_path):
         rows = VALID_ROWS + ["2020-01-06 09:17,101,102,100,101,800"]
         ticks, report = load_ohlc_csv(write_fixture(tmp_path / "dup.csv", rows))
-        assert len(ticks.records) == 3
-        stamps = [r.timestamp for r in ticks.records]
+        assert len(ticks.timestamps) == 3
+        stamps = ticks.timestamps.tolist()
         assert stamps == sorted(set(stamps))
 
     def test_gap_counts_sessions(self, tmp_path):
@@ -70,7 +69,14 @@ class TestLoadOhlcCsv:
         path = write_fixture(tmp_path / "remap.csv", rows,
                              header="Date,open,high,low,close,volume")
         ticks, _ = load_ohlc_csv(path, schema={"datetime": "Date"})
-        assert len(ticks.records) == 2
+        assert len(ticks.timestamps) == 2
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "bytes.csv"
+        path.write_bytes(b"datetime,open,high,low,close,volume\n"
+                         + VALID_ROWS[0].encode() + b"\xff\n")
+        with pytest.raises(FileUnreadable, match="cannot read"):
+            load_ohlc_csv(path)
 
     def test_no_valid_rows(self, tmp_path):
         path = write_fixture(tmp_path / "junk.csv", ["garbage,1,2,3,4,5"])
@@ -85,7 +91,7 @@ class TestLoadOhlcCsv:
     def test_out_of_order_counted_separately(self, tmp_path):
         rows = VALID_ROWS + ["2020-01-06 09:16,101,102,100,101,800"]  # an earlier minute
         ticks, report = load_ohlc_csv(write_fixture(tmp_path / "ooo.csv", rows))
-        assert len(ticks.records) == 3
+        assert len(ticks.timestamps) == 3
         assert report.n_dropped_out_of_order == 1
         assert report.n_dropped_duplicate == 0
 
@@ -94,8 +100,9 @@ class TestLoadOhlcCsv:
         assert ticks.timestamps.dtype == np.dtype("datetime64[s]")
         assert ticks.timestamps.tolist() == [datetime(2020, 1, 6, 9, m) for m in (15, 16, 17)]
         assert ticks.close.tolist() == [100.5, 101.0, 100.4]
-        assert ticks.records[1] == TickRecord(datetime(2020, 1, 6, 9, 16), 100.5, 102.0, 100.0,
-                                              101.0, 1200.0)
+        columns = (ticks.timestamps, ticks.open, ticks.high, ticks.low, ticks.close, ticks.volume)
+        assert [col[1].item() for col in columns] == [datetime(2020, 1, 6, 9, 16), 100.5, 102.0,
+                                                      100.0, 101.0, 1200.0]
 
 
 class TestBuildSeries:
