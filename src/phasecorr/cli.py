@@ -77,6 +77,19 @@ def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     ctx.default_map = values
 
 
+def _power_of_two(ctx: click.Context, param: click.Parameter, value: int | None) -> int | None:
+    if value is not None and (value < 8 or value & (value - 1)):
+        raise click.BadParameter(f"must be a power of two >= 8, got {value}", ctx, param)
+    return value
+
+
+def _fraction(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    # written out rather than click.FloatRange, which lets nan through
+    if not 0.0 <= value < 1.0:
+        raise click.BadParameter(f"must be in [0, 1), got {value}", ctx, param)
+    return value
+
+
 config_option = click.option(
     "--config", type=str, is_eager=True, expose_value=False, callback=_read_config,
     help="File of key=value option values; explicit flags win.")
@@ -226,8 +239,10 @@ def cmd_simulate(ctx, equation, n, length, dt, nu, forcing, steps, probe_index,
               default="raw", show_default=True)
 @click.option("--segments", type=click.IntRange(min=1), default=None,
               help="Target segment count (segment length = largest power of two that fits).")
-@click.option("--segment-length", type=int, default=None, help="Explicit power-of-two length.")
-@click.option("--overlap", type=float, default=0.0, show_default=True)
+@click.option("--segment-length", type=int, default=None, callback=_power_of_two,
+              help="Explicit power-of-two length, at least 8.")
+@click.option("--overlap", type=float, default=0.0, show_default=True, callback=_fraction,
+              help="Fraction of a segment shared with the next, in [0, 1).")
 @click.option("--window", type=click.Choice(["rectangular", "hann"]), default="rectangular",
               show_default=True)
 @click.option("--detrend", type=click.Choice(["none", "demean", "linear"]), default="demean",

@@ -7,10 +7,11 @@ stages of a step.  The nonlinearity is taken in conservative form,
 ``(u u_x)^ = (ik/2) (u^2)^``: with only |k| <= n/3 retained, every alias of
 the physical-space square lands above n/3 and is masked, so each stage needs
 one inverse and one forward transform.  ``step`` returns the masked spectrum
-with the field and takes it back on the next call, so a run never
-re-transforms its own field; 9 real FFTs make a Burgers step.  Forcing is
-i.i.d. uniform in [-A, A] per grid point per step, demeaned and not scaled by
-sqrt(dt).
+and max|u| with the field and takes them back on the next call, so a run
+never re-transforms its own field; 8 real FFTs make a Burgers step, plus one
+batched forcing transform per ``FORCING_BLOCK`` steps.  Forcing is i.i.d.
+uniform in [-A, A] per grid point per step, demeaned and not scaled by
+sqrt(dt); the values of step s come from ``default_rng([seed, s])``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ __all__ = [
 ]
 
 BLOWUP_LIMIT = 1e6
+# steps whose forcing spectra are drawn and transformed together
+FORCING_BLOCK = 64
 
 
 @dataclass
@@ -74,13 +77,15 @@ class SolverConfig:
 
 @dataclass
 class FieldState:
-    """The field after ``step`` steps.  ``uh`` is the masked rfft of ``u`` that
-    ``step`` returns and reuses on the next call; None derives it from ``u``."""
+    """The field after ``step`` steps.  ``uh`` is the masked rfft of ``u`` and
+    ``umax`` its max|u|, which ``step`` returns and reuses on the next call;
+    None derives them from ``u``."""
 
     u: np.ndarray
     time: float = 0.0
     step: int = 0
     uh: np.ndarray | None = field(default=None, compare=False, repr=False)
+    umax: float | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -90,12 +95,16 @@ class SimOutput:
     snapshots: list[tuple[int, np.ndarray]] = field(default_factory=list)  # (step, u)
 
 
+def _dealias_mask(n: int) -> np.ndarray:
+    """The 2/3 rule on the rfft grid: keep integer wavenumbers k <= n/3."""
+    return np.fft.rfftfreq(n, d=1.0 / n) <= n // 3
+
+
 @functools.lru_cache(maxsize=8)
 def _spectral_operators(n: int, length: float, nu: float):
     """(-nu k^2, 2/3-rule-masked ik/2, the mask itself) on the rfft grid."""
-    k = np.fft.rfftfreq(n, d=1.0 / n)  # integer wavenumbers 0..n/2
-    kphys = k * (2.0 * np.pi / length)
-    mask = k <= n // 3
+    kphys = np.fft.rfftfreq(n, d=1.0 / n) * (2.0 * np.pi / length)
+    mask = _dealias_mask(n)
     return -nu * kphys**2, np.where(mask, 0.5j * kphys, 0.0), mask
 
 
@@ -105,11 +114,22 @@ def init_field(config: SolverConfig) -> FieldState:
     return FieldState(u=np.sin(2.0 * np.pi * x / config.length), time=0.0, step=0)
 
 
-def _forcing(config: SolverConfig, step_index: int) -> np.ndarray:
-    rng = np.random.default_rng([config.seed, step_index])
-    f = config.forcing_amplitude * rng.uniform(-1.0, 1.0, config.n_grid)
-    f -= f.mean()
-    return f
+@functools.lru_cache(maxsize=2)
+def _forcing_block(seed: int, n_grid: int, amplitude: float, block: int) -> np.ndarray:
+    """Masked forcing spectra of steps ``block * FORCING_BLOCK`` onwards, one
+    row per step (read-only).  Each row equals the rfft of that step's own
+    draw, scaled and demeaned, times the mask.  A run reads one block at a
+    time; the cache keeps two, about 0.5 MB each at n_grid = 1024."""
+    first = block * FORCING_BLOCK
+    f = np.empty((FORCING_BLOCK, n_grid))
+    for row in range(FORCING_BLOCK):
+        f[row] = np.random.default_rng([seed, first + row]).uniform(-1.0, 1.0, n_grid)
+    f *= amplitude
+    f -= f.mean(axis=-1, keepdims=True)
+    fh = np.fft.rfft(f, axis=-1)
+    fh *= _dealias_mask(n_grid)
+    fh.flags.writeable = False
+    return fh
 
 
 def step(state: FieldState, config: SolverConfig) -> FieldState:
@@ -124,7 +144,8 @@ def step(state: FieldState, config: SolverConfig) -> FieldState:
 
     u = state.u
     if nonlinear:
-        cfl = config.dt * float(np.abs(u).max()) / (config.length / n)
+        umax = state.umax if state.umax is not None else float(np.abs(u).max())
+        cfl = config.dt * umax / (config.length / n)
         if cfl >= 1.0:
             raise CflViolation(state.step, cfl)
     uh = state.uh
@@ -132,28 +153,47 @@ def step(state: FieldState, config: SolverConfig) -> FieldState:
         uh = np.fft.rfft(u) * mask
         u = np.fft.irfft(uh, n)  # the dealiased field the spectrum stands for
 
-    fh = np.fft.rfft(_forcing(config, state.step)) * mask
+    block, row = divmod(state.step, FORCING_BLOCK)
+    fh = _forcing_block(config.seed, n, config.forcing_amplitude, block)[row]
 
-    # every term is masked, so the right-hand side and the update stay masked
+    # every term is masked, so the right-hand side and the update stay masked;
+    # each in-place operation keeps the operand order of the plain expression
+    # it stands for, so it rounds the same way
     def rhs(uh, u=None):
-        r = lin * uh + fh
+        r = lin * uh
+        r += fh
         if nonlinear:
             if u is None:
                 u = np.fft.irfft(uh, n)
-            r -= ik_half * np.fft.rfft(u * u)
+            nl = np.fft.rfft(u * u)
+            r -= np.multiply(ik_half, nl, out=nl)
         return r
 
     dt = config.dt
     r1 = rhs(uh, u)
-    r2 = rhs(uh + 0.5 * dt * r1)
-    r3 = rhs(uh + 0.5 * dt * r2)
-    r4 = rhs(uh + dt * r3)
-    uh = uh + (dt / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+    stage = np.multiply(0.5 * dt, r1)
+    stage += uh
+    r2 = rhs(stage)
+    np.multiply(0.5 * dt, r2, out=stage)
+    stage += uh
+    r3 = rhs(stage)
+    np.multiply(dt, r3, out=stage)
+    stage += uh
+    r4 = rhs(stage)
+    # uh + (dt / 6) * (r1 + 2 r2 + 2 r3 + r4), summed in r2's buffer
+    acc = np.multiply(2.0, r2, out=r2)
+    acc += r1
+    acc += np.multiply(2.0, r3, out=r3)
+    acc += r4
+    np.multiply(dt / 6.0, acc, out=acc)
+    acc += uh
+    uh = acc
     u = np.fft.irfft(uh, n)
 
-    if not np.abs(u).max() <= BLOWUP_LIMIT:  # also true for NaN
+    umax = float(np.abs(u).max())
+    if not umax <= BLOWUP_LIMIT:  # also true for NaN
         raise BlowUp(state.step)
-    return FieldState(u=u, time=state.time + dt, step=state.step + 1, uh=uh)
+    return FieldState(u=u, time=state.time + dt, step=state.step + 1, uh=uh, umax=umax)
 
 
 def run(config: SolverConfig) -> SimOutput:

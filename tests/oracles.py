@@ -3,8 +3,8 @@
 These deliberately avoid the library's FFT path: the transform is the
 literal O(N^2) definition sum and the bispectrum a literal triple loop.
 The OHLCV oracle is the row-at-a-time loader the columnar one replaced,
-and the solver oracle the physical-space RK4 step that the spectral-state
-one replaced.
+and the solver oracles the physical-space RK4 step that the spectral-state
+one replaced and the per-step forcing that the time-blocked one replaced.
 """
 
 import numpy as np
@@ -115,6 +115,15 @@ def legacy_load_ohlc_csv(path, schema=None):
     return records, counts
 
 
+def reference_forcing(seed, n_grid, amplitude, step):
+    """The masked forcing spectrum of one step, drawn and transformed on its own."""
+    rng = np.random.default_rng([seed, step])
+    f = amplitude * rng.uniform(-1.0, 1.0, n_grid)
+    f -= f.mean()
+    k = np.fft.rfftfreq(n_grid, d=1.0 / n_grid)
+    return np.fft.rfft(f) * (k <= n_grid // 3)
+
+
 def legacy_step(state, config):
     """The solver step that the spectral-state one replaced: it transforms the
     field in and out on every call and forms u * u_x in physical space."""
@@ -133,10 +142,7 @@ def legacy_step(state, config):
         if cfl >= 1.0:
             raise CflViolation(state.step, cfl)
 
-    rng = np.random.default_rng([config.seed, state.step])
-    f = config.forcing_amplitude * rng.uniform(-1.0, 1.0, config.n_grid)
-    f -= f.mean()
-    fh = np.fft.rfft(f) * mask
+    fh = reference_forcing(config.seed, n, config.forcing_amplitude, state.step)
 
     def rhs(uh):
         r = -config.nu * ksq * uh + fh

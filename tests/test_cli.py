@@ -122,11 +122,13 @@ class TestConfigFile:
         (["analyze", "{csv}"], "price_field=mid\n", "--field"),
         (["analyze", "{csv}"], "transform=log_return\n", "--transform"),
         (["analyze", "{csv}"], "segments=2\nsegment_length=64\n", "--segment-length"),
+        (["analyze", "{csv}"], "overlap=1.5\n", "--overlap"),
+        (["analyze", "{csv}"], "segment_length=96\n", "--segment-length"),
         (["generate", "noise", "--n", "64"], "bogus=1\n", "bogus"),
         (["generate", "noise", "--n", "64"], "n 128\n", "--config"),
     ], ids=["choice", "float", "float-triad", "bool", "int", "segments-zero",
             "min-segments-negative", "field-without-ohlc", "transform-without-ohlc",
-            "both-segment-options", "unknown-key", "no-equals"])
+            "both-segment-options", "overlap", "segment-length", "unknown-key", "no-equals"])
     def test_bad_value_exit_2(self, runner, tmp_path, command, text, name):
         csv = write_noise_csv(runner, tmp_path, n=256)
         out = tmp_path / "out"
@@ -278,9 +280,16 @@ class TestAnalyze:
         ["--transform", "log_return"],
         ["--transform", "log_return", "--field", "open"],
         ["--segments", "2", "--segment-length", "64"],
+        ["--overlap", "1"],
+        ["--overlap", "-0.25"],
+        ["--overlap", "nan"],
+        ["--segment-length", "100"],
+        ["--segment-length", "4"],
     ], ids=["threshold-nan", "threshold-negative", "segments-negative", "segments-zero",
             "min-segments-negative", "field-without-ohlc", "transform-without-ohlc",
-            "field-and-transform-without-ohlc", "both-segment-options"])
+            "field-and-transform-without-ohlc", "both-segment-options", "overlap-one",
+            "overlap-negative", "overlap-nan", "segment-length-not-power-of-two",
+            "segment-length-below-8"])
     def test_bad_value_exit_2(self, runner, tmp_path, flags):
         csv = make_triad_csv(runner, tmp_path, True)
         out = tmp_path / "an"

@@ -8,12 +8,14 @@ from phasecorr import (
     SolverConfig,
     init_field,
     run,
+    simulator,
     spatial_energy_spectrum,
     step,
 )
 from phasecorr.errors import BlowUp, CflViolation
+from phasecorr.simulator import FORCING_BLOCK, _forcing_block
 
-from oracles import legacy_run, legacy_step
+from oracles import legacy_run, legacy_step, reference_forcing
 
 
 def diffusion_config(**kw):
@@ -201,10 +203,17 @@ class TestAgainstLegacy:
         with pytest.raises(BlowUp):
             step(FieldState(u=np.full(256, np.nan)), config)
 
-    @pytest.mark.parametrize("equation, ffts", [("burgers", 9), ("diffusion", 2)])
-    def test_carried_step_fft_count(self, monkeypatch, equation, ffts):
+    @pytest.mark.parametrize("equation, at, ffts", [
+        ("burgers", 1, 8), ("diffusion", 1, 1),
+        ("burgers", FORCING_BLOCK, 9), ("diffusion", FORCING_BLOCK, 2),
+    ], ids=["burgers-mid-block", "diffusion-mid-block", "burgers-seam", "diffusion-seam"])
+    def test_carried_step_fft_count(self, monkeypatch, equation, at, ffts):
+        # a step at a block seam also makes the batched forcing transform
         config = burgers_config(equation=equation, forcing_amplitude=1.0)
-        state = step(init_field(config), config)
+        _forcing_block.cache_clear()
+        state = init_field(config)
+        for _ in range(at):
+            state = step(state, config)
         calls = []
         for name in ("rfft", "irfft"):
             real = getattr(np.fft, name)
@@ -212,6 +221,88 @@ class TestAgainstLegacy:
                                 lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
         step(state, config)
         assert len(calls) == ffts
+
+
+class PerStepForcing:
+    """Stands in for ``_forcing_block``: row r of block b is drawn and
+    transformed on its own, when step ``b * FORCING_BLOCK + r`` asks for it."""
+
+    def __init__(self, seed, n_grid, amplitude, block):
+        self.args = seed, n_grid, amplitude
+        self.first = block * FORCING_BLOCK
+
+    def __getitem__(self, row):
+        return reference_forcing(*self.args, self.first + row)
+
+
+class TestForcingBlock:
+    """The time-blocked forcing against the per-step draw it replaced."""
+
+    @pytest.mark.parametrize("n_grid", [256, 1024])
+    @pytest.mark.parametrize("amplitude", [6.0, 0.0])
+    def test_rows_equal_per_step_reference(self, n_grid, amplitude):
+        for s in (0, 1, 62, 63, 64, 65, 127, 128, 1000):
+            got = _forcing_block(9, n_grid, amplitude, s // FORCING_BLOCK)[s % FORCING_BLOCK]
+            assert got.tobytes() == reference_forcing(9, n_grid, amplitude, s).tobytes()
+
+    def test_block_is_read_only(self):
+        block = _forcing_block(9, 256, 6.0, 0)
+        assert block.shape == (FORCING_BLOCK, 129)
+        with pytest.raises(ValueError):
+            block[0, 1] = 0.0
+
+    @pytest.mark.parametrize("config", [
+        SolverConfig(n_grid=256, dt=1e-4, nu=3e-3, forcing_amplitude=6.0, seed=5,
+                     n_steps=300, probe_index=17, snapshot_stride=50),
+        SolverConfig(n_grid=1024, dt=1e-4, nu=3e-3, forcing_amplitude=6.0, seed=1,
+                     n_steps=200, snapshot_stride=64),
+        SolverConfig(n_grid=256, dt=1e-3, nu=0.05, forcing_amplitude=4.0, seed=2,
+                     equation="diffusion", n_steps=200, snapshot_stride=70),
+    ], ids=["burgers-256", "burgers-1024", "diffusion-256"])
+    def test_run_byte_equal_to_per_step_forcing(self, monkeypatch, config):
+        out = run(config)
+        monkeypatch.setattr(simulator, "_forcing_block", PerStepForcing)
+        want = run(config)
+        assert out.probe_series.values.tobytes() == want.probe_series.values.tobytes()
+        assert [s for s, _ in out.snapshots] == [s for s, _ in want.snapshots]
+        for (_, got), (_, ref) in zip(out.snapshots, want.snapshots):
+            assert got.tobytes() == ref.tobytes()
+        assert out.final_state.u.tobytes() == want.final_state.u.tobytes()
+
+    @pytest.mark.parametrize("equation", ["burgers", "diffusion"])
+    def test_state_starting_mid_block(self, monkeypatch, equation):
+        # a bare state at step 100 (row 36 of block 1), carried across the seam at 128
+        config = burgers_config(equation=equation, forcing_amplitude=6.0, seed=8)
+        u = np.sin(np.arange(256) * (2 * np.pi / 256)) + 0.1 * np.cos(np.arange(256))
+
+        def advance():
+            state = FieldState(u=u, time=0.5, step=100)
+            for _ in range(40):
+                state = step(state, config)
+            return state
+
+        got = advance()
+        monkeypatch.setattr(simulator, "_forcing_block", PerStepForcing)
+        want = advance()
+        assert got.step == want.step == 140
+        assert got.u.tobytes() == want.u.tobytes()
+
+
+class TestCarriedMax:
+    def test_carried_value_is_max_abs(self):
+        config = burgers_config(forcing_amplitude=3.0, n_steps=5)
+        state = init_field(config)
+        for _ in range(5):
+            state = step(state, config)
+            assert state.umax == np.abs(state.u).max()
+
+    def test_carried_value_feeds_cfl_check(self):
+        # dt * umax / dx = 1e-4 * 1e5 / (2 pi / 256) >= 1 although |u| <= 1
+        config = burgers_config()
+        state = init_field(config)
+        with pytest.raises(CflViolation):
+            step(FieldState(u=state.u, umax=1e5), config)
+        step(FieldState(u=state.u), config)
 
 
 class TestSpatialSpectrum:
