@@ -53,12 +53,13 @@ HEATMAP_FILE = "heatmap.csv"
 
 
 def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
-    """Load key=value lines into ``ctx.default_map``, so click parses and checks
-    each value with its option's own type; explicit flags still win."""
+    """Load key=value lines of a UTF-8 file (a leading byte-order mark is
+    skipped) into ``ctx.default_map``, so click parses and checks each value
+    with its option's own type; explicit flags still win."""
     if path is None:
         return
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise click.BadParameter(f"cannot read config file: {exc}", ctx, param)
     names = {p.name for p in ctx.command.params} - {param.name}
@@ -265,9 +266,9 @@ def cmd_analyze(ctx, input_path, ohlc, price_field, transform, segments, segment
             thr = float(thr)
         except ValueError:
             thr = math.nan
-        if not (0.0 < thr < math.inf):
+        if not (0.0 < thr < 1.0):
             raise click.UsageError(
-                f"--threshold must be 'auto' or a positive number, got {threshold!r}")
+                f"--threshold must be 'auto' or a number in (0, 1), got {threshold!r}")
     try:
         if ohlc:
             ticks, report = load_ohlc_csv(input_path)

@@ -169,6 +169,8 @@ def load_ohlc_csv(
 
     ``schema`` remaps the default column names
     (datetime, open, high, low, close, volume) to those in the file.
+    The file is UTF-8 text; a leading byte-order mark, as spreadsheet
+    exports write, is skipped.
     Rows are read as ``csv.DictReader`` reads them: blank lines are skipped,
     missing cells make a row invalid, extra cells are ignored, and a name
     that appears twice in the header means its last column.
@@ -178,7 +180,7 @@ def load_ohlc_csv(
         colmap.update(schema)
     path = Path(path)
     try:
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
 

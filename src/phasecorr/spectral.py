@@ -275,6 +275,8 @@ def detect_hotspots(
 ) -> HotspotReport:
     """Find local bicoherence maxima above threshold and classify the series.
 
+    ``threshold`` is "auto" (``auto_threshold``) or a number in (0, 1).
+
     Verdict is PhaseCorrelated iff any hotspot is found,
     Inconclusive when fewer than ``min_segments`` segments were averaged,
     and FullyDevelopedTurbulenceConsistent otherwise.
@@ -283,9 +285,10 @@ def detect_hotspots(
         thr = auto_threshold(grid)
     else:
         thr = float(threshold)
-        # the map is 0 outside the domain; only a positive threshold keeps those cells out
-        if not (0.0 < thr < math.inf):
-            raise ValueError(f"threshold must be a positive number, got {threshold!r}")
+        # the map is 0 outside the domain, so only a positive threshold keeps those
+        # cells out; b^2 <= 1, so no cell can exceed a threshold of 1 or more
+        if not (0.0 < thr < 1.0):
+            raise ValueError(f"threshold must be in (0, 1), got {threshold!r}")
 
     dense = grid.dense()
     k1, k2 = np.nonzero(dense > thr)

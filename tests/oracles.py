@@ -3,8 +3,10 @@
 These deliberately avoid the library's FFT path: the transform is the
 literal O(N^2) definition sum and the bispectrum a literal triple loop.
 The OHLCV oracle is the row-at-a-time loader the columnar one replaced,
-and the solver oracles the physical-space RK4 step that the spectral-state
-one replaced and the per-step forcing that the time-blocked one replaced.
+the solver oracles the physical-space RK4 step that the spectral-state
+one replaced and the per-step forcing that the time-blocked one replaced,
+and the heatmap oracle the dense-map writer that formats every cell with
+``format`` that the once-per-value one replaced.
 """
 
 import numpy as np
@@ -113,6 +115,18 @@ def legacy_load_ohlc_csv(path, schema=None):
     counts["n_records_out"] = len(records)
     counts["sessions_detected"] = counts["n_gaps"] + 1
     return records, counts
+
+
+def legacy_write_heatmap_csv(path, grid):
+    """Dense bicoherence matrix (rows k1, cols k2), symmetric fold applied."""
+    dense = grid.dense()
+    with open(path, "w") as fh:
+        header = ",".join(["k1\\k2"] + [str(k) for k in range(grid.half + 1)])
+        fh.write(header + "\n")
+        for k1, row in enumerate(dense):
+            # cells with k1 + k2 > half lie outside the domain: exactly 0, printed "0"
+            inside = row[: grid.half + 1 - k1].tolist()
+            fh.write(f"{k1}," + ",".join(map("{:.6g}".format, inside)) + ",0" * k1 + "\n")
 
 
 def reference_forcing(seed, n_grid, amplitude, step):

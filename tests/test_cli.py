@@ -124,11 +124,13 @@ class TestConfigFile:
         (["analyze", "{csv}"], "segments=2\nsegment_length=64\n", "--segment-length"),
         (["analyze", "{csv}"], "overlap=1.5\n", "--overlap"),
         (["analyze", "{csv}"], "segment_length=96\n", "--segment-length"),
+        (["analyze", "{csv}"], "threshold=1\n", "--threshold"),
         (["generate", "noise", "--n", "64"], "bogus=1\n", "bogus"),
         (["generate", "noise", "--n", "64"], "n 128\n", "--config"),
     ], ids=["choice", "float", "float-triad", "bool", "int", "segments-zero",
             "min-segments-negative", "field-without-ohlc", "transform-without-ohlc",
-            "both-segment-options", "overlap", "segment-length", "unknown-key", "no-equals"])
+            "both-segment-options", "overlap", "segment-length", "threshold-one", "unknown-key",
+            "no-equals"])
     def test_bad_value_exit_2(self, runner, tmp_path, command, text, name):
         csv = write_noise_csv(runner, tmp_path, n=256)
         out = tmp_path / "out"
@@ -138,6 +140,14 @@ class TestConfigFile:
         assert res.exit_code == 2
         assert name in res.output
         assert not out.exists()
+
+    def test_byte_order_mark_skipped(self, runner, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfn=128\n")
+        out = tmp_path / "out"
+        res = run_cli(runner, ["generate", "noise", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 0
+        assert len(read_series_csv(out / "series.csv")) == 128
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-text"])
     def test_unreadable_file_exit_2(self, runner, tmp_path, kind):
@@ -273,6 +283,8 @@ class TestAnalyze:
     @pytest.mark.parametrize("flags", [
         ["--threshold", "nan"],
         ["--threshold", "-1"],
+        ["--threshold", "1"],
+        ["--threshold", "5"],
         ["--segments", "-3"],
         ["--segments", "0"],
         ["--min-segments", "-1"],
@@ -285,7 +297,8 @@ class TestAnalyze:
         ["--overlap", "nan"],
         ["--segment-length", "100"],
         ["--segment-length", "4"],
-    ], ids=["threshold-nan", "threshold-negative", "segments-negative", "segments-zero",
+    ], ids=["threshold-nan", "threshold-negative", "threshold-one", "threshold-five",
+            "segments-negative", "segments-zero",
             "min-segments-negative", "field-without-ohlc", "transform-without-ohlc",
             "field-and-transform-without-ohlc", "both-segment-options", "overlap-one",
             "overlap-negative", "overlap-nan", "segment-length-not-power-of-two",
@@ -323,7 +336,8 @@ class TestAnalyze:
         (b"t,value\n0,1.0\n1,\xe9\n", []),
         (b"datetime,open,high,low,close,volume\n2020-01-06 09:15,100,101,99.5,100.5,\xff\n",
          ["--ohlc"]),
-    ], ids=["series", "ohlc"])
+        (b"\xef\xbb\xbft,value\n0,1.0\n1,\xe9\n", []),
+    ], ids=["series", "ohlc", "series-bom"])
     def test_not_utf8_input_exit_2(self, runner, tmp_path, data, flags):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(data)

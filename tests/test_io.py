@@ -3,9 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from phasecorr import BispectrumGrid, TimeSeries, bicoherence, segmented_bispectrum
+from phasecorr import (
+    BispectrumGrid,
+    TimeSeries,
+    TriadSpec,
+    bicoherence,
+    gen_triad,
+    segmented_bispectrum,
+)
 from phasecorr.errors import FileUnreadable
 from phasecorr.io import (
+    _format_6g,
     load_grid,
     read_series_csv,
     save_grid,
@@ -14,6 +22,8 @@ from phasecorr.io import (
     write_snapshot_csv,
     write_spectrum_csv,
 )
+
+from oracles import legacy_write_heatmap_csv
 
 SPECIAL = [0.0, -0.0, 1.0, -2.5, 1 / 3, 5e-324, 1e-300, 1e300, 123456789.125]
 
@@ -54,6 +64,13 @@ class TestSeriesCsv:
         (tmp_path / "s.csv").write_bytes(b"t,value\n0,1.0\n1,\xe9\n")
         with pytest.raises(FileUnreadable, match="cannot read"):
             read_series_csv(tmp_path / "s.csv")
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        v = awkward_values(1000)
+        write_series_csv(tmp_path / "s.csv", TimeSeries(v))
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "s.csv").read_bytes())
+        back = read_series_csv(tmp_path / "bom.csv")
+        assert back.values.tobytes() == read_series_csv(tmp_path / "s.csv").values.tobytes()
 
 
 def test_spectrum_bytes_match_row_format(tmp_path):
@@ -139,3 +156,70 @@ def test_heatmap_bytes_match_dense_format(tmp_path):
         str(k1) + "," + ",".join(f"{x:.6g}" for x in dense[k1]) + "\n"
         for k1 in range(g.half + 1))
     assert (tmp_path / "h.csv").read_text() == want
+
+
+def six_digit_ties():
+    """Exact and near ties at the 6th significant digit, in every fast-path decade."""
+    k = np.random.default_rng(31).integers(100_000, 1_000_000, 2000)
+    out = []
+    for e in range(-5, 7):
+        for frac in (0.5, 0.5 - 1e-6, 0.5 + 1e-6, 0.5 - 1e-7, 0.5 + 1e-7):
+            t = (k + frac) * 10.0 ** (e - 5)
+            out += [t, np.nextafter(t, 0.0), np.nextafter(t, np.inf)]
+    return np.concatenate(out)
+
+
+BOUNDARIES = [9.999995e-05, 0.9999995, 999999.5, 1e6, 1e-4, 99999.95, 999999.4999,
+              999999.7, 0.99999971]
+BOUNDARIES += [np.nextafter(b, d) for b in BOUNDARIES for d in (0.0, np.inf)]
+BOUNDARIES += [10.0 ** p for p in range(-6, 8)]
+
+
+class TestFormat6g:
+    @pytest.mark.parametrize("values", [
+        six_digit_ties(),
+        BOUNDARIES,
+        [0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf, -1.0, -0.5, -123.456789,
+         -1.23456789e-100, -1e300, 1.7976931348623157e308],
+        10.0 ** np.random.default_rng(32).uniform(-12, 8, 100_000),
+        np.random.default_rng(33).uniform(0.0, 2e6, 100_000),
+    ], ids=["ties", "boundaries", "specials", "log-uniform", "uniform"])
+    def test_matches_format(self, values):
+        x = np.asarray(values, dtype=float)
+        assert _format_6g(x).tolist() == [format(v, ".6g").encode() for v in x.tolist()]
+
+
+def heatmap_grid(kind, segment_length, window):
+    n = 16 * segment_length
+    if kind == "triad":
+        series = gen_triad(TriadSpec(omega_alpha=0.22, omega_beta=0.375, n_samples=n,
+                                     seed=34, phase_block=segment_length))
+    else:
+        series = TimeSeries(np.random.default_rng(35).normal(size=n))
+    return segmented_bispectrum(series, segment_length, window=window)
+
+
+def assert_heatmap_matches_legacy(tmp_path, grid):
+    write_heatmap_csv(tmp_path / "new.csv", grid)
+    legacy_write_heatmap_csv(tmp_path / "old.csv", grid)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+class TestHeatmapAgainstLegacy:
+    @pytest.mark.parametrize("window", ["rectangular", "hann"])
+    @pytest.mark.parametrize("segment_length", [8, 256, 1024])
+    @pytest.mark.parametrize("kind", ["triad", "noise"])
+    def test_bytes_equal(self, tmp_path, kind, segment_length, window):
+        g = heatmap_grid(kind, segment_length, window)
+        assert_heatmap_matches_legacy(tmp_path, g)
+
+    def test_boundary_cells(self, tmp_path):
+        # b^2 = |values|^2 where norm_a = norm_b = 1, and 0 where norm_a = 0
+        segment_length, size = 64, 289  # BispectrumGrid checks that the size fits
+        b2 = np.resize(np.concatenate([BOUNDARIES, six_digit_ties()[::97], [0.0, 1.0, 0.25]]),
+                       size)
+        norm_a = np.ones(size)
+        norm_a[::7] = 0.0
+        g = BispectrumGrid(values=np.sqrt(b2) + 0j, norm_a=norm_a, norm_b=np.ones(size),
+                           segments_averaged=1, segment_length=segment_length)
+        assert_heatmap_matches_legacy(tmp_path, g)

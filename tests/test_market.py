@@ -71,6 +71,15 @@ class TestLoadOhlcCsv:
         ticks, _ = load_ohlc_csv(path, schema={"datetime": "Date"})
         assert len(ticks.timestamps) == 2
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        plain = write_fixture(tmp_path / "plain.csv", VALID_ROWS)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        (ticks, report), (want, want_report) = load_ohlc_csv(bom), load_ohlc_csv(plain)
+        for name in ("timestamps", "open", "high", "low", "close", "volume"):
+            assert getattr(ticks, name).tobytes() == getattr(want, name).tobytes()
+        assert report == want_report
+
     def test_not_utf8(self, tmp_path):
         path = tmp_path / "bytes.csv"
         path.write_bytes(b"datetime,open,high,low,close,volume\n"

@@ -367,7 +367,7 @@ class TestDetectHotspots:
         rep = detect_hotspots(g, min_segments=16)
         assert rep.verdict is Verdict.INCONCLUSIVE
 
-    @pytest.mark.parametrize("threshold", [float("nan"), -1.0, 0.0, float("inf")])
+    @pytest.mark.parametrize("threshold", [float("nan"), -1.0, 0.0, float("inf"), 1.0, 5.0])
     def test_rejects_non_positive_threshold(self, threshold):
         g, _, _ = self.coupled_grid()
         with pytest.raises(ValueError):
