@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FileUnreadable
-from .spectral import BispectrumGrid, HotspotReport, TimeSeries, _row_offsets, bicoherence
+from .spectral import BispectrumGrid, HotspotReport, TimeSeries, bicoherence
 
 __all__ = [
     "write_series_csv",
@@ -174,7 +174,7 @@ def write_heatmap_csv(path: str | Path, grid: BispectrumGrid) -> None:
     the domain, which are exactly 0.  No dense map is built.
     """
     half = grid.half
-    off = _row_offsets(half, np.arange(half + 2))
+    off = grid.offsets
     cells = _format_6g(bicoherence(grid))
     # each cell behind a comma, its padding dropped when the row is joined
     line = np.full((half + 1, _CELL_BYTES + 1), ord(","), dtype=np.uint8)

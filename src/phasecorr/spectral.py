@@ -66,13 +66,6 @@ def _row_offsets(half, k1):
     return c * (c + 1) // 2 + (k1 - c) * (2 * half + 3 - k1 - c) // 2
 
 
-def _principal_domain(half: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major (k1, k2) index pairs of {0 <= k2 <= k1, k1 + k2 <= half}."""
-    off = _row_offsets(half, np.arange(half + 2))
-    k1 = np.repeat(np.arange(half + 1), np.diff(off))
-    return k1, np.arange(off[-1]) - off[k1]
-
-
 @dataclass
 class BispectrumGrid:
     """Averaged triple products over the principal triangular domain.
@@ -80,8 +73,8 @@ class BispectrumGrid:
     ``values[i] = <F(k1) F(k2) conj(F(k1+k2))>`` averaged over
     ``segments_averaged`` segments, with the Cauchy-Schwarz normalizers
     ``norm_a = <|F(k1)F(k2)|^2>`` and ``norm_b = <|F(k1+k2)|^2>``.  The
-    (k1, k2) layout, and with it ``half``, ``k1`` and ``k2``, follows from
-    ``segment_length``.
+    (k1, k2) layout, and with it ``half`` and ``offsets`` (the flat index of
+    each (k1, 0), then the bin count), follows from ``segment_length``.
     """
 
     values: np.ndarray
@@ -90,8 +83,7 @@ class BispectrumGrid:
     segments_averaged: int
     segment_length: int
     half: int = field(init=False)
-    k1: np.ndarray = field(init=False, repr=False)
-    k2: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.half = self.segment_length // 2
@@ -100,14 +92,28 @@ class BispectrumGrid:
         if not 0 <= self.half < n == len(self.norm_a) == len(self.norm_b) == _row_offsets(
                 self.half, self.half + 1):
             raise ValueError(f"segment length {self.segment_length} does not fit {n} bins")
-        self.k1, self.k2 = _principal_domain(self.half)
+        self.offsets = _row_offsets(self.half, np.arange(self.half + 2))
+
+    def flat_index(self, k1, k2):
+        """Index in ``values`` of each (k1, k2) of the symmetric map; -1 outside the domain."""
+        # fold the symmetric half back into the principal domain
+        a, b = np.maximum(k1, k2), np.minimum(k1, k2)
+        inside = (b >= 0) & (a <= self.half - b)  # a + b could overflow
+        return np.where(inside, self.offsets[np.clip(a, 0, self.half)] + b, -1)
+
+    def coords(self, i):
+        """(k1, k2) of each flat index i in [0, len(values)), the inverse of ``flat_index``."""
+        k1 = np.searchsorted(self.offsets, i, side="right") - 1
+        return k1, i - self.offsets[k1]
 
     def _index(self, k1: int, k2: int) -> int:
-        # fold the symmetric half back into the principal domain
-        a, b = max(k1, k2), min(k1, k2)
-        if b < 0 or a + b > self.half:
+        try:
+            i = int(self.flat_index(k1, k2))
+        except OverflowError:  # beyond int64, so beyond the domain
+            i = -1
+        if i < 0:
             raise IndexError(f"({k1}, {k2}) outside the resolvable domain")
-        return int(_row_offsets(self.half, a)) + b
+        return i
 
     def value_at(self, k1: int, k2: int) -> complex:
         return complex(self.values[self._index(k1, k2)])
@@ -122,7 +128,8 @@ class BispectrumGrid:
     def dense(self) -> np.ndarray:
         """Symmetric (half+1, half+1) bicoherence map, zero outside the domain."""
         out = np.zeros((self.half + 1, self.half + 1))
-        out[self.k1, self.k2] = out[self.k2, self.k1] = bicoherence(self)
+        k1, k2 = self.coords(np.arange(len(self.values)))
+        out[k1, k2] = out[k2, k1] = bicoherence(self)
         return out
 
 
@@ -277,9 +284,10 @@ def detect_hotspots(
 
     ``threshold`` is "auto" (``auto_threshold``) or a number in (0, 1).
 
-    Verdict is PhaseCorrelated iff any hotspot is found,
-    Inconclusive when fewer than ``min_segments`` segments were averaged,
-    and FullyDevelopedTurbulenceConsistent otherwise.
+    Verdict is Inconclusive when fewer than ``min_segments`` segments were
+    averaged or no bin has a positive normalizer product (no signal power),
+    else PhaseCorrelated iff any hotspot is found, and
+    FullyDevelopedTurbulenceConsistent otherwise.
     """
     if threshold == "auto":
         thr = auto_threshold(grid)
@@ -290,23 +298,24 @@ def detect_hotspots(
         if not (0.0 < thr < 1.0):
             raise ValueError(f"threshold must be in (0, 1), got {threshold!r}")
 
-    dense = grid.dense()
-    k1, k2 = np.nonzero(dense > thr)
-    k1, k2 = k1[k2 <= k1], k2[k2 <= k1]
-    b2 = dense[k1, k2]
-    # a peak is at least each of its eight neighbours; an index clipped at the
-    # map's edge only repeats a cell that is compared anyway
-    peak = np.ones(len(b2), dtype=bool)
+    b2 = bicoherence(grid)
+    i = np.flatnonzero(b2 > thr)
+    k1, k2 = grid.coords(i)
+    # a peak is at least each of its eight neighbours, read through the fold with
+    # a cell outside the domain as 0; an index clipped at the map's edge only
+    # repeats a cell that is compared anyway
+    peak = np.ones(len(i), dtype=bool)
     for d1 in (-1, 0, 1):
         for d2 in (-1, 0, 1):
-            peak &= b2 >= dense[np.clip(k1 + d1, 0, grid.half), np.clip(k2 + d2, 0, grid.half)]
+            j = grid.flat_index(np.clip(k1 + d1, 0, grid.half), np.clip(k2 + d2, 0, grid.half))
+            peak &= b2[i] >= np.where(j >= 0, b2[j], 0.0)
     hotspots = [
-        (a, b, float(dense[a, b]), abs(grid.value_at(a, b)))
-        for a, b in zip(k1[peak].tolist(), k2[peak].tolist())
+        (a, b, float(b2[j]), abs(complex(grid.values[j])))
+        for a, b, j in zip(k1[peak].tolist(), k2[peak].tolist(), i[peak].tolist())
     ]
     hotspots.sort(key=lambda h: h[2], reverse=True)
 
-    if grid.segments_averaged < min_segments:
+    if grid.segments_averaged < min_segments or not (grid.norm_a * grid.norm_b > 0).any():
         verdict = Verdict.INCONCLUSIVE
     elif hotspots:
         verdict = Verdict.PHASE_CORRELATED

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to freeze expected values.
 
 These deliberately avoid the library's FFT path: the transform is the
-literal O(N^2) definition sum and the bispectrum a literal triple loop.
+literal O(N^2) definition sum, the bispectrum a literal triple loop and the
+principal-domain (k1, k2) layout a literal double loop.
 The OHLCV oracle is the row-at-a-time loader the columnar one replaced,
 the solver oracles the physical-space RK4 step that the spectral-state
 one replaced and the per-step forcing that the time-blocked one replaced,
@@ -21,6 +22,12 @@ def dft_direct(values):
     for k in range(n):
         out[k] = np.sum(v * np.exp(-2j * np.pi * k * t / n))
     return out
+
+
+def domain_pairs(half):
+    """Row-major (k1, k2) index arrays of the principal domain {0 <= k2 <= k1, k1 + k2 <= half}."""
+    pairs = [(a, b) for a in range(half + 1) for b in range(min(a, half - a) + 1)]
+    return np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
 
 
 def bispectrum_direct(values):
@@ -119,7 +126,11 @@ def legacy_load_ohlc_csv(path, schema=None):
 
 def legacy_write_heatmap_csv(path, grid):
     """Dense bicoherence matrix (rows k1, cols k2), symmetric fold applied."""
-    dense = grid.dense()
+    from phasecorr.spectral import bicoherence
+
+    k1, k2 = domain_pairs(grid.half)
+    dense = np.zeros((grid.half + 1, grid.half + 1))
+    dense[k1, k2] = dense[k2, k1] = bicoherence(grid)
     with open(path, "w") as fh:
         header = ",".join(["k1\\k2"] + [str(k) for k in range(grid.half + 1)])
         fh.write(header + "\n")

@@ -274,6 +274,16 @@ class TestAnalyze:
         res = run_cli(runner, ["analyze", str(csv), "--segments", "32", "--out", str(out)])
         assert res.output.strip().endswith("FullyDevelopedTurbulenceConsistent")
 
+    def test_constant_series_inconclusive(self, runner, tmp_path):
+        # a constant series has no power in any tested bin
+        csv = tmp_path / "flat.csv"
+        csv.write_text("t,value\n" + "".join(f"{t},2.5\n" for t in range(16384)))
+        out = tmp_path / "an"
+        res = run_cli(runner, ["analyze", str(csv), "--out", str(out)])
+        assert res.exit_code == 0
+        assert res.output.strip().endswith("Inconclusive")
+        assert "verdict: Inconclusive" in (out / "hotspots.txt").read_text()
+
     def test_bad_input_exit_2(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,series\n1,2,3\n")

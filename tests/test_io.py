@@ -23,7 +23,7 @@ from phasecorr.io import (
     write_spectrum_csv,
 )
 
-from oracles import legacy_write_heatmap_csv
+from oracles import domain_pairs, legacy_write_heatmap_csv
 
 SPECIAL = [0.0, -0.0, 1.0, -2.5, 1 / 3, 5e-324, 1e-300, 1e300, 123456789.125]
 
@@ -101,7 +101,7 @@ class TestGridArchive:
         g = small_grid()
         save_grid(tmp_path / "g.npz", g)
         back = load_grid(tmp_path / "g.npz")
-        for name in ("values", "norm_a", "norm_b", "k1", "k2"):
+        for name in ("values", "norm_a", "norm_b", "offsets"):
             assert getattr(back, name).dtype == getattr(g, name).dtype
             assert np.array_equal(getattr(back, name), getattr(g, name))
         assert (back.segments_averaged, back.segment_length, back.half) == \
@@ -118,10 +118,12 @@ class TestGridArchive:
         g = small_grid()
         save_grid(tmp_path / "g.npz", g)
         grid = BispectrumGrid(**np.load(tmp_path / "g.npz"))
-        table = np.column_stack([grid.k1, grid.k2, grid.values.real, grid.values.imag,
+        k1, k2 = grid.coords(np.arange(len(grid.values)))
+        table = np.column_stack([k1, k2, grid.values.real, grid.values.imag,
                                  np.abs(grid.values), bicoherence(grid)])
         assert table.shape == (len(g.values), 6)
-        assert np.array_equal(table[:, 0], g.k1) and np.array_equal(table[:, 1], g.k2)
+        want1, want2 = domain_pairs(g.half)
+        assert np.array_equal(table[:, 0], want1) and np.array_equal(table[:, 1], want2)
         assert np.array_equal(table[:, 5], bicoherence(g))
 
     def test_not_an_archive(self, tmp_path):
@@ -149,9 +151,10 @@ def test_heatmap_bytes_match_dense_format(tmp_path):
     g = small_grid()
     write_heatmap_csv(tmp_path / "h.csv", g)
     b2 = bicoherence(g)
+    a, b = domain_pairs(g.half)
     dense = np.zeros((g.half + 1, g.half + 1))
-    dense[g.k1, g.k2] = b2
-    dense[g.k2, g.k1] = b2
+    dense[a, b] = b2
+    dense[b, a] = b2
     want = ",".join(["k1\\k2"] + [str(k) for k in range(g.half + 1)]) + "\n" + "".join(
         str(k1) + "," + ",".join(f"{x:.6g}" for x in dense[k1]) + "\n"
         for k1 in range(g.half + 1))

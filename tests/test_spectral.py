@@ -20,9 +20,7 @@ from phasecorr.errors import (
     SegmentTooLong,
 )
 
-from phasecorr.spectral import _principal_domain
-
-from oracles import bispectrum_direct, dft_direct
+from oracles import bispectrum_direct, dft_direct, domain_pairs
 
 
 def seeded_series(seed, n):
@@ -134,8 +132,8 @@ class TestBispectrum:
         g = bispectrum(dft_forward(s))
         expected = bispectrum_direct(s.values)
         scale = max(abs(v) for v in expected.values())
-        for i in range(len(g.values)):
-            want = expected[(int(g.k1[i]), int(g.k2[i]))]
+        for i, pair in enumerate(zip(*domain_pairs(g.half))):
+            want = expected[pair]
             assert abs(g.values[i] - want) <= 1e-10 * scale
 
     def test_time_shift_invariance(self):
@@ -162,22 +160,44 @@ class TestBispectrum:
         assert g.value_at(9, 4) == g.value_at(4, 9)
 
 
+def assert_layout_matches_loop(g):
+    """flat_index over every (k1, k2) in [-2, half + 2]^2, and coords over every
+    flat index, against the loop-built principal domain."""
+    k1, k2 = domain_pairs(g.half)
+    flat = {(a, b): i for i, (a, b) in enumerate(zip(k1.tolist(), k2.tolist()))}
+    span = range(-2, g.half + 3)
+    want = [flat.get((max(a, b), min(a, b)), -1) for a in span for b in span]
+    a, b = np.meshgrid(span, span, indexing="ij")
+    assert g.flat_index(a, b).ravel().tolist() == want
+    got1, got2 = g.coords(np.arange(len(g.values)))
+    assert got1.tolist() == k1.tolist() and got2.tolist() == k2.tolist()
+
+
 class TestDomainLayout:
     @pytest.mark.parametrize("half", range(0, 67))
     def test_closed_form_matches_loop(self, half):
-        k1 = [a for a in range(half + 1) for _ in range(min(a, half - a) + 1)]
-        k2 = [b for a in range(half + 1) for b in range(min(a, half - a) + 1)]
-        got1, got2 = _principal_domain(half)
-        assert got1.tolist() == k1 and got2.tolist() == k2
+        k1 = domain_pairs(half)[0].tolist()
+        bins = len(k1)
+        g = BispectrumGrid(np.zeros(bins, dtype=complex), np.zeros(bins), np.zeros(bins),
+                           1, 2 * half)
+        assert g.offsets.tolist() == [k1.index(a) for a in range(half + 1)] + [bins]
+        assert_layout_matches_loop(g)
 
     @pytest.mark.parametrize("n", [8, 9, 16, 30, 64])
     def test_index_is_flat_position(self, n):
         g = bispectrum(dft_forward(seeded_series(n, n)))
-        for i, (a, b) in enumerate(zip(g.k1.tolist(), g.k2.tolist())):
+        assert_layout_matches_loop(g)
+        for i, (a, b) in enumerate(zip(*domain_pairs(g.half))):
             assert g._index(a, b) == i
             assert g._index(b, a) == i
-        with pytest.raises(IndexError):
-            g._index(g.half, 1)
+        for a, b in [(g.half, 1), (-1, 0), (0, -1), (-3, 2), (g.half + 1, 0), (0, g.half + 1),
+                     (10**6, 10**6), (2**62, 2**62), (2**70, 0), (0, -2**70)]:
+            with pytest.raises(IndexError):
+                g._index(a, b)
+            with pytest.raises(IndexError):
+                g.value_at(a, b)
+            with pytest.raises(IndexError):
+                g.bicoherence_at(a, b)
 
     def test_dense_map(self):
         g = segmented_bispectrum(seeded_series(6, 2048), 128)
@@ -185,7 +205,8 @@ class TestDomainLayout:
         b2 = bicoherence(g)
         assert d.shape == (65, 65)
         assert np.array_equal(d, d.T)
-        assert np.array_equal(d[g.k1, g.k2], b2)
+        k1, k2 = domain_pairs(g.half)
+        assert np.array_equal(d[k1, k2], b2)
         k1, k2 = np.indices(d.shape)
         assert (d[k1 + k2 > g.half] == 0.0).all()
 
@@ -390,6 +411,45 @@ class TestDetectHotspots:
             assert rep.hotspots == hotspots_reference(g, rep.threshold_used)
         assert len(rep.hotspots) > 100
 
+    @pytest.mark.parametrize("level, window, detrend", [
+        (3.5, "rectangular", "demean"), (0.0, "hann", "demean"), (0.0, "rectangular", "none")])
+    @pytest.mark.parametrize("threshold", ["auto", 0.5])
+    def test_no_signal_power_inconclusive(self, level, window, detrend, threshold):
+        # no bin has a positive normaliser product, so no bin was tested
+        g = segmented_bispectrum(TimeSeries(np.full(64 * 256, level)), 256,
+                                 window=window, detrend=detrend)
+        assert g.segments_averaged == 64
+        assert not (g.norm_a * g.norm_b > 0).any()
+        rep = detect_hotspots(g, threshold=threshold)
+        assert rep.hotspots == []
+        assert rep.verdict is Verdict.INCONCLUSIVE
+
+    @pytest.mark.parametrize("seg", [256, 1024])
+    def test_builds_no_dense_map(self, seg):
+        import tracemalloc
+
+        s = TimeSeries(np.random.default_rng(24).uniform(-1, 1, 64 * seg))
+        g = segmented_bispectrum(s, seg)
+        tracemalloc.start()
+        try:
+            detect_hotspots(g, threshold=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (g.half + 1) ** 2 * 8
+
+    def test_outside_neighbours_read_zero(self):
+        # (6, 2) lies on the edge k1 + k2 = half, next to cells outside the domain;
+        # the last flat bin, (8, 0), is larger and must not stand in for them
+        k1, k2 = domain_pairs(8)
+        b2 = np.zeros(len(k1))
+        b2[(k1 == 6) & (k2 == 2)], b2[-1] = 0.5, 0.9
+        ones = np.ones(len(k1))
+        g = BispectrumGrid(np.sqrt(b2).astype(complex), ones, ones, 64, 16)
+        rep = detect_hotspots(g, threshold=0.3)
+        assert [h[:2] for h in rep.hotspots] == [(8, 0), (6, 2)]
+        assert rep.hotspots == hotspots_reference(g, 0.3)
+
     def test_explicit_threshold(self):
         g, ka, kb = self.coupled_grid()
         rep = detect_hotspots(g, threshold=0.99999)
@@ -401,11 +461,12 @@ def hotspots_reference(grid, thr):
     """Local maxima by an explicit eight-neighbour loop on a -1-filled map."""
     b2 = bicoherence(grid)
     half = grid.half
+    k1, k2 = domain_pairs(half)
     dense = np.full((half + 3, half + 3), -1.0)
-    dense[grid.k1 + 1, grid.k2 + 1] = b2
-    dense[grid.k2 + 1, grid.k1 + 1] = b2
+    dense[k1 + 1, k2 + 1] = b2
+    dense[k2 + 1, k1 + 1] = b2
     found = []
-    for i, (a, b) in enumerate(zip(grid.k1.tolist(), grid.k2.tolist())):
+    for i, (a, b) in enumerate(zip(k1.tolist(), k2.tolist())):
         around = dense[a : a + 3, b : b + 3].copy()
         around[1, 1] = -np.inf
         if b2[i] > thr and b2[i] >= around.max():
