@@ -10,6 +10,7 @@ from .spectral import (  # noqa: F401
     HotspotReport,
     TimeSeries,
     Verdict,
+    analyze,
     auto_threshold,
     bicoherence,
     bispectrum,

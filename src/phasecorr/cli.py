@@ -31,13 +31,7 @@ from .io import (
 )
 from .market import build_series, load_ohlc_csv
 from .simulator import SolverConfig, run as run_simulation, spatial_energy_spectrum
-from .spectral import (
-    BispectrumGrid,
-    detect_hotspots,
-    dft_forward,
-    power_spectrum,
-    segmented_bispectrum,
-)
+from .spectral import BispectrumGrid, analyze, dft_forward, power_spectrum
 from .synthetic import (
     NoiseSpec,
     TriadSpec,
@@ -112,7 +106,10 @@ def _write_manifest(out: Path, command: str, params: dict,
 
 def _prepare_out(out: str) -> Path:
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise click.UsageError(f"cannot make --out directory {out}: {exc.strerror}")
     return path
 
 
@@ -271,25 +268,16 @@ def cmd_analyze(ctx, input_path, ohlc, price_field, transform, segments, segment
                 f"--threshold must be 'auto' or a number in (0, 1), got {threshold!r}")
     try:
         if ohlc:
-            ticks, report = load_ohlc_csv(input_path)
+            ticks, _ = load_ohlc_csv(input_path)
             series = build_series(ticks, price_field=price_field, transform=transform)
         else:
             series = read_series_csv(input_path)
-    except PhasecorrError as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(2)
-
-    seg_len = segment_length
-    if seg_len is None:
-        target = segments or 64
-        seg_len = 1 << max(3, (len(series) // target).bit_length() - 1)
-    try:
-        grid = segmented_bispectrum(series, seg_len, overlap_fraction=overlap,
-                                    window=window, detrend=detrend)
+        grid, hotspots = analyze(series, segment_length, segments=segments,
+                                 overlap_fraction=overlap, window=window, detrend=detrend,
+                                 threshold=thr, min_segments=min_segments)
     except (PhasecorrError, ValueError) as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(2)
-    hotspots = detect_hotspots(grid, threshold=thr, min_segments=min_segments)
 
     out_dir = _prepare_out(out)
     write_series_csv(out_dir / "raw_series.csv", series)

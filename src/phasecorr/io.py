@@ -169,23 +169,19 @@ def write_heatmap_csv(path: str | Path, grid: BispectrumGrid) -> None:
     """Dense bicoherence matrix (rows k1, cols k2), symmetric fold applied.
 
     Each cell is ``"{:.6g}"`` of b^2.  Each principal-domain value is
-    formatted once: row k1 is its own principal row, then column k1 of the
-    rows below it mirrored across the diagonal, then the k1 cells outside
-    the domain, which are exactly 0.  No dense map is built.
+    formatted once: row k1 is the cells of the grid's row fold, as in
+    ``BispectrumGrid.dense``, then the k1 cells outside the domain, which
+    are exactly 0.  No dense map is built.
     """
     half = grid.half
-    off = grid.offsets
     cells = _format_6g(bicoherence(grid))
     # each cell behind a comma, its padding dropped when the row is joined
     line = np.full((half + 1, _CELL_BYTES + 1), ord(","), dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write((",".join(["k1\\k2"] + [str(k) for k in range(half + 1)]) + "\n").encode())
-        for k1 in range(half + 1):
-            n = half + 1 - k1
-            lo, hi = off[k1], off[k1 + 1]
-            row = line[:n]
-            row[: hi - lo, 1:] = cells[lo:hi, None].view(np.uint8)
-            row[hi - lo:, 1:] = cells[off[k1 + 1:n] + k1, None].view(np.uint8)
+        for k1, j in enumerate(grid._dense_rows()):
+            row = line[: len(j)]
+            row[:, 1:] = cells[j, None].view(np.uint8)
             fh.write(b"%d" % k1 + row[row != 0].tobytes() + b",0" * k1 + b"\n")
 
 

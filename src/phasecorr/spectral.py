@@ -37,6 +37,7 @@ __all__ = [
     "bicoherence",
     "detect_hotspots",
     "auto_threshold",
+    "analyze",
 ]
 
 
@@ -120,16 +121,22 @@ class BispectrumGrid:
 
     def bicoherence_at(self, k1: int, k2: int) -> float:
         i = self._index(k1, k2)
-        den = self.norm_a[i] * self.norm_b[i]
-        if den <= 0:
-            return 0.0
-        return float(abs(self.values[i]) ** 2 / den)
+        one = slice(i, i + 1)  # numpy's scalar abs and ** can round unlike its array kernels
+        return float(_b2(self.values[one], self.norm_a[one] * self.norm_b[one])[0])
+
+    def _dense_rows(self):
+        """For each row k1 of the symmetric map, the flat indices of its columns 0..half-k1,
+        the rest being outside the domain: its principal row, then column k1 mirrored."""
+        off, n = self.offsets, self.half + 1
+        for k1 in range(n):
+            yield np.concatenate((np.arange(off[k1], off[k1 + 1]), off[k1 + 1:n - k1] + k1))
 
     def dense(self) -> np.ndarray:
         """Symmetric (half+1, half+1) bicoherence map, zero outside the domain."""
+        b2 = bicoherence(self)
         out = np.zeros((self.half + 1, self.half + 1))
-        k1, k2 = self.coords(np.arange(len(self.values)))
-        out[k1, k2] = out[k2, k1] = bicoherence(self)
+        for k1, j in enumerate(self._dense_rows()):
+            out[k1, : len(j)] = b2[j]
         return out
 
 
@@ -177,21 +184,20 @@ def _average_triple_products(F: np.ndarray, segment_length: int) -> BispectrumGr
     """
     m = len(F)
     half = segment_length // 2
+    size = _row_offsets(half, half + 1)
+    grid = BispectrumGrid(np.empty(size, dtype=complex), np.empty(size), np.empty(size), m,
+                          segment_length)
     P = np.abs(F) ** 2
     Fc = np.conj(F)
-    off = _row_offsets(half, np.arange(half + 2)).tolist()
-    values = np.empty(off[-1], dtype=complex)
-    norm_a = np.empty(off[-1])
-    norm_b = np.empty(off[-1])
+    off = grid.offsets.tolist()
     power = P.sum(axis=0) / m
     for a in range(half + 1):
         lo, hi = off[a], off[a + 1]
         n = hi - lo
-        values[lo:hi] = np.einsum("m,mk,mk->k", F[:, a], F[:, :n], Fc[:, a : a + n]) / m
-        norm_a[lo:hi] = np.einsum("m,mk->k", P[:, a], P[:, :n]) / m
-        norm_b[lo:hi] = power[a : a + n]
-    return BispectrumGrid(values=values, norm_a=norm_a, norm_b=norm_b,
-                          segments_averaged=m, segment_length=segment_length)
+        grid.values[lo:hi] = np.einsum("m,mk,mk->k", F[:, a], F[:, :n], Fc[:, a : a + n]) / m
+        grid.norm_a[lo:hi] = np.einsum("m,mk->k", P[:, a], P[:, :n]) / m
+        grid.norm_b[lo:hi] = power[a : a + n]
+    return grid
 
 
 def bispectrum(F: np.ndarray) -> BispectrumGrid:
@@ -254,10 +260,13 @@ def segmented_bispectrum(
     return _average_triple_products(F, segment_length)
 
 
+def _b2(values, den):
+    return np.divide(np.abs(values) ** 2, den, out=np.zeros(len(den)), where=den > 0)
+
+
 def bicoherence(grid: BispectrumGrid) -> np.ndarray:
     """Normalized squared bispectrum b^2 in [0, 1], flat over the principal domain."""
-    den = grid.norm_a * grid.norm_b
-    return np.divide(np.abs(grid.values) ** 2, den, out=np.zeros(len(den)), where=den > 0)
+    return _b2(grid.values, grid.norm_a * grid.norm_b)
 
 
 def auto_threshold(grid: BispectrumGrid) -> float:
@@ -270,9 +279,11 @@ def auto_threshold(grid: BispectrumGrid) -> float:
     floor for tiny grids and the 0.8 cap preserves detectability of
     near-perfect coupling at small M.
     """
-    g = max(1, int(np.count_nonzero(grid.norm_a * grid.norm_b > 0)))
-    m = grid.segments_averaged
-    return min(0.8, max(6.0 / m, 0.2, (math.log(g) + 15.0) / m))
+    return _auto_threshold(np.count_nonzero(grid.norm_a * grid.norm_b > 0), grid.segments_averaged)
+
+
+def _auto_threshold(tested: int, m: int) -> float:
+    return min(0.8, max(6.0 / m, 0.2, (math.log(max(1, tested)) + 15.0) / m))
 
 
 def detect_hotspots(
@@ -289,8 +300,10 @@ def detect_hotspots(
     else PhaseCorrelated iff any hotspot is found, and
     FullyDevelopedTurbulenceConsistent otherwise.
     """
+    den = grid.norm_a * grid.norm_b
+    tested = np.count_nonzero(den > 0)
     if threshold == "auto":
-        thr = auto_threshold(grid)
+        thr = _auto_threshold(tested, grid.segments_averaged)
     else:
         thr = float(threshold)
         # the map is 0 outside the domain, so only a positive threshold keeps those
@@ -298,7 +311,7 @@ def detect_hotspots(
         if not (0.0 < thr < 1.0):
             raise ValueError(f"threshold must be in (0, 1), got {threshold!r}")
 
-    b2 = bicoherence(grid)
+    b2 = _b2(grid.values, den)
     i = np.flatnonzero(b2 > thr)
     k1, k2 = grid.coords(i)
     # a peak is at least each of its eight neighbours, read through the fold with
@@ -315,15 +328,27 @@ def detect_hotspots(
     ]
     hotspots.sort(key=lambda h: h[2], reverse=True)
 
-    if grid.segments_averaged < min_segments or not (grid.norm_a * grid.norm_b > 0).any():
+    if grid.segments_averaged < min_segments or not tested:
         verdict = Verdict.INCONCLUSIVE
     elif hotspots:
         verdict = Verdict.PHASE_CORRELATED
     else:
         verdict = Verdict.FULLY_DEVELOPED_TURBULENCE_CONSISTENT
-    return HotspotReport(
-        hotspots=hotspots,
-        threshold_used=thr,
-        verdict=verdict,
-        segments_averaged=grid.segments_averaged,
-    )
+    return HotspotReport(hotspots=hotspots, threshold_used=thr, verdict=verdict,
+                         segments_averaged=grid.segments_averaged)
+
+
+def analyze(series: TimeSeries, segment_length: int | None = None, *, segments: int | None = None,
+            overlap_fraction=0.0, window="rectangular", detrend="demean", threshold="auto",
+            min_segments=16) -> tuple[BispectrumGrid, HotspotReport]:
+    """The grid of ``segmented_bispectrum`` and its ``detect_hotspots`` report.
+
+    Give ``segment_length`` or a target count of ``segments`` (64 if neither),
+    which picks the largest power of two >= 8 that fits ``len(series) // segments``.
+    """
+    if segments is not None and (segment_length is not None or segments < 1):
+        raise ValueError(f"give segment_length or segments >= 1, not both; got {segments=}")
+    if segment_length is None:
+        segment_length = 1 << max(3, (len(series) // (segments or 64)).bit_length() - 1)
+    grid = segmented_bispectrum(series, segment_length, overlap_fraction, window, detrend)
+    return grid, detect_hotspots(grid, threshold, min_segments)

@@ -17,6 +17,7 @@ from phasecorr import (
     TimeSeries,
     TriadSpec,
     Verdict,
+    analyze,
     bispectrum,
     box_muller_pair,
     build_series,
@@ -78,9 +79,9 @@ def test_criterion_01_dft_oracle(capsys):
 
 def test_criterion_02_coupled_triad_detection(capsys):
     t0 = time.perf_counter()
-    grid = segmented_bispectrum(triad_series(True, seed=42), SEG)
+    grid, rep = analyze(triad_series(True, seed=42), SEG)
     b2 = grid.bicoherence_at(K_BETA, K_ALPHA)
-    verdict = detect_hotspots(grid).verdict
+    verdict = rep.verdict
     elapsed = time.perf_counter() - t0
     ok = b2 > 0.9 and verdict is Verdict.PHASE_CORRELATED and elapsed < 10.0
     report(capsys, 2, "coupled triad flagged PhaseCorrelated", ok,
@@ -91,8 +92,8 @@ def test_criterion_03_uncoupled_triad_null(capsys):
     t0 = time.perf_counter()
     false_positives = 0
     for seed in range(20):
-        grid = segmented_bispectrum(triad_series(False, seed=seed), SEG)
-        if detect_hotspots(grid).verdict is Verdict.PHASE_CORRELATED:
+        _, rep = analyze(triad_series(False, seed=seed), SEG)
+        if rep.verdict is Verdict.PHASE_CORRELATED:
             false_positives += 1
     elapsed = time.perf_counter() - t0
     report(capsys, 3, "uncoupled triad stays null", false_positives <= 1 and elapsed < 60.0,
@@ -156,8 +157,8 @@ def test_criterion_08_turbulence_null(capsys):
     consistent = 0
     for seed in range(20):
         out = run(SolverConfig(n_steps=64 * seg, seed=seed, **PAPER_BURGERS))
-        grid = segmented_bispectrum(out.probe_series, seg)
-        if detect_hotspots(grid).verdict is Verdict.FULLY_DEVELOPED_TURBULENCE_CONSISTENT:
+        _, rep = analyze(out.probe_series, seg)
+        if rep.verdict is Verdict.FULLY_DEVELOPED_TURBULENCE_CONSISTENT:
             consistent += 1
     report(capsys, 8, "turbulent probe reads as uncorrelated", consistent >= 19,
            f"{consistent}/20 seeds")
@@ -183,8 +184,8 @@ def _ohlc_fixture(tmp_path, coupled, name):
 
 def _pipeline_verdict(path):
     ticks, _ = load_ohlc_csv(path)
-    grid = segmented_bispectrum(build_series(ticks), 1024)
-    return detect_hotspots(grid).verdict
+    _, rep = analyze(build_series(ticks), 1024)
+    return rep.verdict
 
 
 def test_criterion_09_market_pipeline(capsys, tmp_path):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from phasecorr import analyze
 from phasecorr.cli import main
-from phasecorr.io import load_grid, read_series_csv
+from phasecorr.io import format_hotspot_report, load_grid, read_series_csv, save_grid
 
 
 @pytest.fixture
@@ -367,6 +368,24 @@ class TestAnalyze:
         assert (tmp_path / "a" / "bispectrum.npz").read_bytes() == \
                (tmp_path / "b" / "bispectrum.npz").read_bytes()
 
+    def test_same_as_library(self, runner, tmp_path):
+        # 40,000 samples over 32 segments is 1,250 each: both pick 1,024
+        out = tmp_path / "triad"
+        assert run_cli(runner, [
+            "generate", "triad", "--omega-a", "0.22", "--omega-b", "0.375", "--n", "40000",
+            "--phase-block", "1024", "--seed", "5", "--out", str(out),
+        ]).exit_code == 0
+        an = tmp_path / "an"
+        res = run_cli(runner, ["analyze", str(out / "series.csv"), "--segments", "32",
+                               "--out", str(an)])
+        assert res.exit_code == 0
+        grid, report = analyze(read_series_csv(out / "series.csv"), segments=32)
+        assert grid.segment_length == load_grid(an / "bispectrum.npz").segment_length == 1024
+        save_grid(tmp_path / "library.npz", grid)
+        assert (tmp_path / "library.npz").read_bytes() == (an / "bispectrum.npz").read_bytes()
+        assert report.hotspots
+        assert format_hotspot_report(report) == (an / "hotspots.txt").read_text()
+
     def test_ohlc_input(self, runner, tmp_path):
         path = write_ohlc_csv(tmp_path)
         out = tmp_path / "mk"
@@ -449,3 +468,24 @@ class TestReport:
                     "bicoherence_heatmap": r1 / "heatmap.csv", "verdict": an / "hotspots.txt"}
         assert {k: (r1 / f).resolve() for k, f in files.items()} == {
             k: f.resolve() for k, f in expected.items()}
+
+
+@pytest.mark.parametrize("command", ["analyze", "generate noise", "simulate", "report"])
+def test_out_is_a_file_exit_2(runner, tmp_path, command):
+    csv = write_noise_csv(runner, tmp_path, n=256)
+    an = tmp_path / "an"
+    assert run_cli(runner, ["analyze", str(csv), "--segment-length", "16",
+                            "--out", str(an)]).exit_code == 0
+    args = {
+        "analyze": ["analyze", str(csv), "--segment-length", "16"],
+        "generate noise": ["generate", "noise", "--n", "64"],
+        "simulate": ["simulate", "diffusion", "--n", "32", "--forcing", "0", "--nu", "1",
+                     "--steps", "5"],
+        "report": ["report", str(an)],
+    }[command]
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    res = runner.invoke(main, args + ["--out", str(taken)])
+    assert res.exit_code == 2
+    assert str(taken) in res.output
+    assert taken.read_text() == "a file\n"

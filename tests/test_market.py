@@ -7,11 +7,10 @@ import phasecorr.market as market
 from phasecorr import (
     TriadSpec,
     Verdict,
+    analyze,
     build_series,
-    detect_hotspots,
     gen_triad,
     load_ohlc_csv,
-    segmented_bispectrum,
 )
 from phasecorr.errors import FileUnreadable, NoValidRows, PhasecorrError, SchemaMismatch, TooShort
 
@@ -175,9 +174,8 @@ def triad_ohlc_fixture(tmp_path, coupled, name):
 class TestEndToEndPipeline:
     def analyze(self, path):
         ticks, _ = load_ohlc_csv(path)
-        series = build_series(ticks)
-        grid = segmented_bispectrum(series, 1024)
-        return detect_hotspots(grid)
+        _, rep = analyze(build_series(ticks), 1024)
+        return rep
 
     def test_coupled_triad_detected(self, tmp_path):
         rep = self.analyze(triad_ohlc_fixture(tmp_path, True, "coupled.csv"))

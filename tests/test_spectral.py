@@ -1,3 +1,4 @@
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from phasecorr import (
     BispectrumGrid,
     TimeSeries,
     Verdict,
+    analyze,
+    auto_threshold,
     bicoherence,
     bispectrum,
     detect_hotspots,
@@ -326,6 +329,12 @@ class TestSegmentedBispectrum:
 
 
 class TestBicoherence:
+    def test_at_matches_map(self):
+        g = segmented_bispectrum(seeded_series(8, 64 * 256), 256)
+        b2 = bicoherence(g)
+        k1, k2 = domain_pairs(g.half)
+        assert [g.bicoherence_at(a, b) for a, b in zip(k1.tolist(), k2.tolist())] == b2.tolist()
+
     def test_single_segment_is_one_on_support(self):
         g = bispectrum(dft_forward(seeded_series(2, 64)))
         b2 = bicoherence(g)
@@ -450,11 +459,39 @@ class TestDetectHotspots:
         assert [h[:2] for h in rep.hotspots] == [(8, 0), (6, 2)]
         assert rep.hotspots == hotspots_reference(g, 0.3)
 
+    def test_auto_threshold_reported(self):
+        g, _, _ = self.coupled_grid()
+        tested = np.count_nonzero(g.norm_a * g.norm_b > 0)
+        m = g.segments_averaged
+        expected = min(0.8, max(6.0 / m, 0.2, (math.log(tested) + 15.0) / m))
+        assert detect_hotspots(g).threshold_used == auto_threshold(g) == expected
+
     def test_explicit_threshold(self):
         g, ka, kb = self.coupled_grid()
         rep = detect_hotspots(g, threshold=0.99999)
         assert rep.hotspots == []
         assert rep.verdict is Verdict.FULLY_DEVELOPED_TURBULENCE_CONSISTENT
+
+
+class TestAnalyze:
+    @pytest.mark.parametrize("n, options, length", [
+        (5000, {}, 64),
+        (5000, {"segments": 32}, 128),
+        (4096, {"segments": 1}, 4096),
+        (100, {"segments": 64}, 8),
+        (5000, {"segment_length": 256}, 256),
+    ])
+    def test_segment_length_rule(self, n, options, length):
+        s = seeded_series(9, n)
+        grid, rep = analyze(s, **options)
+        assert grid.segment_length == length
+        assert rep == detect_hotspots(segmented_bispectrum(s, length))
+
+    @pytest.mark.parametrize("options", [
+        {"segments": 0}, {"segments": -3}, {"segments": 4, "segment_length": 64}])
+    def test_rejects_bad_segment_options(self, options):
+        with pytest.raises(ValueError, match="not both"):
+            analyze(seeded_series(9, 5000), **options)
 
 
 def hotspots_reference(grid, thr):
