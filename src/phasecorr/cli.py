@@ -9,7 +9,6 @@ reproduced bit-exactly.  Exit codes: 0 success, 2 usage or input error,
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -32,6 +31,7 @@ from .io import (
 from .market import build_series, load_ohlc_csv
 from .simulator import SolverConfig, run as run_simulation, spatial_energy_spectrum
 from .spectral import BispectrumGrid, analyze, dft_forward, power_spectrum
+from .spectral import _check_overlap, _check_segment_length, _check_threshold
 from .synthetic import (
     NoiseSpec,
     TriadSpec,
@@ -72,17 +72,19 @@ def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     ctx.default_map = values
 
 
-def _power_of_two(ctx: click.Context, param: click.Parameter, value: int | None) -> int | None:
-    if value is not None and (value < 8 or value & (value - 1)):
-        raise click.BadParameter(f"must be a power of two >= 8, got {value}", ctx, param)
-    return value
+def _checked(rule):
+    """Click callback that runs the library's ``rule`` on an option's value, so a
+    bad value is rejected, naming its flag, before any input is read."""
+    def callback(ctx: click.Context, param: click.Parameter, value):
+        try:
+            return value if value is None else rule(value)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc), ctx, param)
+    return callback
 
 
-def _fraction(ctx: click.Context, param: click.Parameter, value: float) -> float:
-    # written out rather than click.FloatRange, which lets nan through
-    if not 0.0 <= value < 1.0:
-        raise click.BadParameter(f"must be in [0, 1), got {value}", ctx, param)
-    return value
+def _threshold(text: str) -> str | float:
+    return text if text == "auto" else _check_threshold(float(text))
 
 
 config_option = click.option(
@@ -237,15 +239,18 @@ def cmd_simulate(ctx, equation, n, length, dt, nu, forcing, steps, probe_index,
               default="raw", show_default=True)
 @click.option("--segments", type=click.IntRange(min=1), default=None,
               help="Target segment count (segment length = largest power of two that fits).")
-@click.option("--segment-length", type=int, default=None, callback=_power_of_two,
+@click.option("--segment-length", type=int, default=None,
+              callback=_checked(_check_segment_length),
               help="Explicit power-of-two length, at least 8.")
-@click.option("--overlap", type=float, default=0.0, show_default=True, callback=_fraction,
+@click.option("--overlap", type=float, default=0.0, show_default=True,
+              callback=_checked(_check_overlap),
               help="Fraction of a segment shared with the next, in [0, 1).")
 @click.option("--window", type=click.Choice(["rectangular", "hann"]), default="rectangular",
               show_default=True)
 @click.option("--detrend", type=click.Choice(["none", "demean", "linear"]), default="demean",
               show_default=True)
-@click.option("--threshold", type=str, default="auto", show_default=True)
+@click.option("--threshold", type=str, default="auto", show_default=True,
+              callback=_checked(_threshold))
 @click.option("--min-segments", type=click.IntRange(min=0), default=16, show_default=True)
 @click.option("--out", type=str, default=".", show_default=True)
 @config_option
@@ -257,15 +262,6 @@ def cmd_analyze(ctx, input_path, ohlc, price_field, transform, segments, segment
         raise click.UsageError("--field and --transform apply only with --ohlc")
     if segments is not None and segment_length is not None:
         raise click.UsageError("give --segments or --segment-length, not both")
-    thr = threshold
-    if thr != "auto":
-        try:
-            thr = float(thr)
-        except ValueError:
-            thr = math.nan
-        if not (0.0 < thr < 1.0):
-            raise click.UsageError(
-                f"--threshold must be 'auto' or a number in (0, 1), got {threshold!r}")
     try:
         if ohlc:
             ticks, _ = load_ohlc_csv(input_path)
@@ -274,7 +270,7 @@ def cmd_analyze(ctx, input_path, ohlc, price_field, transform, segments, segment
             series = read_series_csv(input_path)
         grid, hotspots = analyze(series, segment_length, segments=segments,
                                  overlap_fraction=overlap, window=window, detrend=detrend,
-                                 threshold=thr, min_segments=min_segments)
+                                 threshold=threshold, min_segments=min_segments)
     except (PhasecorrError, ValueError) as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(2)

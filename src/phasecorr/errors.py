@@ -56,7 +56,3 @@ class NoValidRows(PhasecorrError):
 
 class SchemaMismatch(PhasecorrError):
     """A required column is missing from the input file."""
-
-
-class TooShort(PhasecorrError):
-    """Not enough valid records to build a series."""

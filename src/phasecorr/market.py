@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FileUnreadable, NoValidRows, SchemaMismatch, TooShort
+from .errors import FileUnreadable, NoValidRows, SchemaMismatch
 from .spectral import TimeSeries
 
 __all__ = [
@@ -171,7 +171,8 @@ def load_ohlc_csv(
     (datetime, open, high, low, close, volume) to those in the file.
     The file is UTF-8 text; a leading byte-order mark, as spreadsheet
     exports write, is skipped.
-    Rows are read as ``csv.DictReader`` reads them: blank lines are skipped,
+    The file is read as ``csv.reader`` reads a file opened with
+    ``newline=""``: only CR, LF and CRLF end a row, blank lines are skipped,
     missing cells make a row invalid, extra cells are ignored, and a name
     that appears twice in the header means its last column.
     """
@@ -179,61 +180,53 @@ def load_ohlc_csv(
     if schema:
         colmap.update(schema)
     path = Path(path)
+    n_in = 0
+    chunks: list[tuple[np.ndarray, ...]] = []  # seconds and prices of each chunk's valid rows
     try:
-        lines = path.read_text(encoding="utf-8-sig").splitlines()
+        with open(path, encoding="utf-8-sig", newline="") as f, _gc_paused():
+            reader = csv.reader(f)
+            header = next(reader, None)
+            if header is None:
+                raise FileUnreadable(f"{path} has no header row")
+            position = {name: i for i, name in enumerate(header)}
+            for logical, column in colmap.items():
+                if column not in position:
+                    raise SchemaMismatch(
+                        f"column {column!r} (for {logical!r}) missing from {path}")
+            ts_col = position[colmap["datetime"]]
+            price_cols = [position[colmap[name]] for name in _PRICE_FIELDS]
+            width = max(ts_col, *price_cols) + 1
+
+            while rows := list(islice(reader, _CHUNK_ROWS)):
+                rows = [r for r in rows if r]
+                if not rows:
+                    continue
+                n_in += len(rows)
+                cols = list(islice(zip_longest(*rows, fillvalue=""), width))
+                del rows
+                cols += [("",) * len(cols[0])] * (width - len(cols))
+                ts = _parse_timestamps(cols[ts_col])
+                prices = [_parse_floats(cols[i]) for i in price_cols]
+                del cols
+                valid = ~np.isnat(ts) & _valid_prices(*prices)
+                chunks.append((ts[valid].view(np.int64), *(p[valid] for p in prices)))
     except (OSError, UnicodeDecodeError) as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
 
-    reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is None:
-        raise FileUnreadable(f"{path} has no header row")
-    position = {name: i for i, name in enumerate(header)}
-    for logical, column in colmap.items():
-        if column not in position:
-            raise SchemaMismatch(f"column {column!r} (for {logical!r}) missing from {path}")
-    ts_col = position[colmap["datetime"]]
-    price_cols = [position[colmap[name]] for name in _PRICE_FIELDS]
-    width = max(ts_col, *price_cols) + 1
-
-    report = CleaningReport()
-    kept: list[tuple[np.ndarray, ...]] = []
-    latest = np.iinfo(np.int64).min  # latest kept timestamp, in seconds
-    with _gc_paused():
-        while rows := list(islice(reader, _CHUNK_ROWS)):
-            rows = [r for r in rows if r]
-            if not rows:
-                continue
-            report.n_records_in += len(rows)
-            cols = list(islice(zip_longest(*rows, fillvalue=""), width))
-            del rows
-            cols += [("",) * len(cols[0])] * (width - len(cols))
-            ts = _parse_timestamps(cols[ts_col])
-            prices = [_parse_floats(cols[i]) for i in price_cols]
-            del cols
-            valid = ~np.isnat(ts) & _valid_prices(*prices)
-            report.n_dropped_invalid += int(np.count_nonzero(~valid))
-
-            secs = ts[valid].view(np.int64)
-            prior = np.maximum.accumulate(np.concatenate(([latest], secs)))[:-1]
-            keep = secs > prior
-            n_dup = int(np.count_nonzero(secs == prior))
-            report.n_dropped_duplicate += n_dup
-            report.n_dropped_out_of_order += len(secs) - n_dup - int(np.count_nonzero(keep))
-            secs = secs[keep]
-            if len(secs) == 0:
-                continue
-            report.n_gaps += int(np.count_nonzero(np.diff(secs) != 60))
-            if report.n_records_out and secs[0] - latest != 60:
-                report.n_gaps += 1
-            report.n_records_out += len(secs)
-            latest = secs[-1]
-            kept.append((secs, *(p[valid][keep] for p in prices)))
-
-    if not kept:
+    if not any(len(chunk[0]) for chunk in chunks):
         raise NoValidRows(f"{path} contains no valid OHLCV rows")
-    report.sessions_detected = report.n_gaps + 1
-    secs, o, h, l, c, v = (np.concatenate(col) for col in zip(*kept))
+    secs, o, h, l, c, v = (np.concatenate(col) for col in zip(*chunks))
+    # a row is kept only if later than every valid row before it
+    prior = np.maximum.accumulate(secs)[:-1]
+    keep = np.concatenate(([True], secs[1:] > prior))
+    n_dup = int(np.count_nonzero(secs[1:] == prior))
+    secs = secs[keep]
+    n_gaps = int(np.count_nonzero(np.diff(secs) != 60))
+    report = CleaningReport(
+        n_records_in=n_in, n_records_out=len(secs), n_gaps=n_gaps,
+        n_dropped_invalid=n_in - len(keep), sessions_detected=n_gaps + 1,
+        n_dropped_duplicate=n_dup, n_dropped_out_of_order=len(keep) - len(secs) - n_dup)
+    o, h, l, c, v = (p[keep] for p in (o, h, l, c, v))
     return TickSeries(secs.view("datetime64[s]"), o, h, l, c, v), report
 
 
@@ -247,8 +240,6 @@ def build_series(
     price_field: close, open, or mid ((high+low)/2)
     transform:   raw, demean, or log_return (length N-1)
     """
-    if len(ticks.timestamps) < 2:
-        raise TooShort("need at least 2 valid records")
     if price_field in ("close", "open"):
         p = getattr(ticks, price_field).copy()
     elif price_field == "mid":
@@ -264,6 +255,4 @@ def build_series(
         v = np.log(p[1:] / p[:-1])
     else:
         raise ValueError(f"unknown transform {transform!r}")
-    if len(v) < 2:
-        raise TooShort("series shorter than 2 after transform")
     return TimeSeries(values=v)

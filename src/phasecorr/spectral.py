@@ -212,6 +212,27 @@ _WINDOWS = ("rectangular", "hann")
 _DETRENDS = ("none", "demean", "linear")
 
 
+# each option rule returns its value or raises ValueError; the CLI runs them on its flags
+def _check_segment_length(segment_length: int) -> int:
+    if segment_length < 8 or segment_length & (segment_length - 1):
+        raise ValueError(f"segment_length must be a power of two >= 8, got {segment_length}")
+    return segment_length
+
+
+def _check_overlap(overlap_fraction: float) -> float:
+    if not 0.0 <= overlap_fraction < 1.0:
+        raise ValueError(f"overlap_fraction must be in [0, 1), got {overlap_fraction}")
+    return overlap_fraction
+
+
+def _check_threshold(threshold: float) -> float:
+    # the map is 0 outside the domain, so only a positive threshold keeps those
+    # cells out; b^2 <= 1, so no cell can exceed a threshold of 1 or more
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold!r}")
+    return threshold
+
+
 def segmented_bispectrum(
     series: TimeSeries,
     segment_length: int,
@@ -234,10 +255,8 @@ def segmented_bispectrum(
     n = len(v)
     if segment_length > n:
         raise SegmentTooLong(f"segment_length {segment_length} > series length {n}")
-    if segment_length < 8 or segment_length & (segment_length - 1):
-        raise ValueError(f"segment_length must be a power of two >= 8, got {segment_length}")
-    if not (0.0 <= overlap_fraction < 1.0):
-        raise ValueError(f"overlap_fraction must be in [0, 1), got {overlap_fraction}")
+    _check_segment_length(segment_length)
+    _check_overlap(overlap_fraction)
     if window not in _WINDOWS:
         raise ValueError(f"window must be one of {_WINDOWS}")
     if detrend not in _DETRENDS:
@@ -305,11 +324,7 @@ def detect_hotspots(
     if threshold == "auto":
         thr = _auto_threshold(tested, grid.segments_averaged)
     else:
-        thr = float(threshold)
-        # the map is 0 outside the domain, so only a positive threshold keeps those
-        # cells out; b^2 <= 1, so no cell can exceed a threshold of 1 or more
-        if not (0.0 < thr < 1.0):
-            raise ValueError(f"threshold must be in (0, 1), got {threshold!r}")
+        thr = _check_threshold(float(threshold))
 
     b2 = _b2(grid.values, den)
     i = np.flatnonzero(b2 > thr)

@@ -12,7 +12,13 @@ from phasecorr import (
     gen_triad,
     load_ohlc_csv,
 )
-from phasecorr.errors import FileUnreadable, NoValidRows, PhasecorrError, SchemaMismatch, TooShort
+from phasecorr.errors import (
+    FileUnreadable,
+    LengthTooShort,
+    NoValidRows,
+    PhasecorrError,
+    SchemaMismatch,
+)
 
 from oracles import legacy_load_ohlc_csv
 
@@ -79,6 +85,17 @@ class TestLoadOhlcCsv:
             assert getattr(ticks, name).tobytes() == getattr(want, name).tobytes()
         assert report == want_report
 
+    @pytest.mark.parametrize("brk", ["\x0c", "\x85", "\u2028"],
+                             ids=["form-feed", "next-line", "line-separator"])
+    def test_line_break_in_cell_stays_in_row(self, tmp_path, brk):
+        # str.splitlines would end a row at each of these; only CR, LF and CRLF do
+        path = tmp_path / "note.csv"
+        path.write_text("datetime,open,high,low,close,volume,note\n"
+                        + "".join(f"{row},a{brk}b\n" for row in VALID_ROWS), encoding="utf-8")
+        ticks, report = load_ohlc_csv(path)
+        assert (report.n_records_in, report.n_dropped_invalid) == (3, 0)
+        assert len(ticks.timestamps) == 3
+
     def test_not_utf8(self, tmp_path):
         path = tmp_path / "bytes.csv"
         path.write_bytes(b"datetime,open,high,low,close,volume\n"
@@ -102,6 +119,26 @@ class TestLoadOhlcCsv:
         assert len(ticks.timestamps) == 3
         assert report.n_dropped_out_of_order == 1
         assert report.n_dropped_duplicate == 0
+
+    def test_peak_memory_bounded_by_file_size(self, tmp_path, monkeypatch):
+        import tracemalloc
+
+        monkeypatch.setattr(market, "_CHUNK_ROWS", 1024)
+        start = datetime(2020, 1, 6, 9, 15)
+        rng = np.random.default_rng(3)
+        rows = []
+        for i, c in enumerate((100.0 + rng.normal(size=20_000).cumsum() * 0.05).tolist()):
+            rows.append(f"{start + timedelta(minutes=i):%Y-%m-%d %H:%M},"
+                        f"{c:.6f},{c + 0.1:.6f},{c - 0.1:.6f},{c:.6f},{i % 997}")
+        path = write_fixture(tmp_path / "many_chunks.csv", rows)
+        tracemalloc.start()
+        try:
+            load_ohlc_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # neither the whole text nor a list of its lines may be held through the parse
+        assert peak < 2.8 * path.stat().st_size
 
     def test_columns(self, tmp_path):
         ticks, _ = load_ohlc_csv(write_fixture(tmp_path / "ok.csv", VALID_ROWS))
@@ -144,7 +181,7 @@ class TestBuildSeries:
 
     def test_too_short(self, tmp_path):
         ticks = self.fixture_ticks(tmp_path, [100, 101])
-        with pytest.raises(TooShort):
+        with pytest.raises(LengthTooShort):
             build_series(ticks, transform="log_return")
 
 
@@ -191,8 +228,11 @@ class TestEndToEndPipeline:
 def assert_matches_legacy(path, schema=None):
     """Same errors, counts, kept timestamps and OHLCV bits as the old loader.
 
-    The old loader counted out-of-order rows as duplicates; that is the only
-    expected difference.
+    The old loader counted out-of-order rows as duplicates, and it split the
+    text with ``str.splitlines``, which also ends a row at \\x0b, \\x0c,
+    \\x1c-\\x1e, \\x85, \\u2028 and \\u2029, where the new one ends a row
+    only at CR, LF and CRLF.  The files compared here hold none of those
+    characters, so the first is the only expected difference.
     """
     try:
         old_records, old = legacy_load_ohlc_csv(path, schema)
@@ -281,7 +321,7 @@ def write_fuzz_file(path, seed: int, n_rows: int = 150):
 
 
 class TestColumnarMatchesLegacy:
-    @pytest.mark.parametrize("chunk_rows", [None, 7])
+    @pytest.mark.parametrize("chunk_rows", [None, 7, 1])
     def test_fuzz(self, tmp_path, monkeypatch, chunk_rows):
         if chunk_rows is not None:
             monkeypatch.setattr(market, "_CHUNK_ROWS", chunk_rows)
