@@ -22,11 +22,11 @@ from .io import (
     format_hotspot_report,
     load_grid,
     read_series_csv,
+    save_array,
     save_grid,
     write_heatmap_csv,
     write_series_csv,
     write_snapshot_csv,
-    write_spectrum_csv,
 )
 from .market import build_series, load_ohlc_csv
 from .simulator import SolverConfig, run as run_simulation, spatial_energy_spectrum
@@ -42,7 +42,7 @@ from .synthetic import (
 
 GRID_FILE = "bispectrum.npz"
 # what analyze writes besides its manifest, and report reads or references
-ANALYSIS_FILES = ("raw_series.csv", "spectrum.csv", GRID_FILE, "hotspots.txt")
+ANALYSIS_FILES = ("raw_series.npy", "spectrum.npy", GRID_FILE, "hotspots.txt")
 HEATMAP_FILE = "heatmap.csv"
 
 
@@ -218,10 +218,9 @@ def cmd_simulate(ctx, equation, n, length, dt, nu, forcing, steps, probe_index,
     except (BlowUp, CflViolation) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(3)
-    outputs = ["probe.csv", "spectrum.csv"]
+    outputs = ["probe.csv", "spectrum.npy"]
     write_series_csv(out_dir / "probe.csv", result.probe_series)
-    write_spectrum_csv(out_dir / "spectrum.csv", spatial_energy_spectrum(result.final_state),
-                       config.n_grid)
+    save_array(out_dir / "spectrum.npy", spatial_energy_spectrum(result.final_state))
     for step_no, u in result.snapshots:
         name = f"snap_{step_no:08d}.csv"
         write_snapshot_csv(out_dir / name, u, config.length)
@@ -276,8 +275,8 @@ def cmd_analyze(ctx, input_path, ohlc, price_field, transform, segments, segment
         sys.exit(2)
 
     out_dir = _prepare_out(out)
-    write_series_csv(out_dir / "raw_series.csv", series)
-    write_spectrum_csv(out_dir / "spectrum.csv", power_spectrum(dft_forward(series)), len(series))
+    save_array(out_dir / "raw_series.npy", series.values)
+    save_array(out_dir / "spectrum.npy", power_spectrum(dft_forward(series)))
     save_grid(out_dir / GRID_FILE, grid)
     (out_dir / "hotspots.txt").write_text(format_hotspot_report(hotspots))
     _write_manifest(out_dir, "analyze", ctx.params, [input_path], list(ANALYSIS_FILES))
@@ -287,8 +286,8 @@ def cmd_analyze(ctx, input_path, ohlc, price_field, transform, segments, segment
 # (panel, file, plot kind): the heatmap is derived from the grid into the
 # report bundle, and the other panels are analysis files it references
 REPORT_PANELS = (
-    ("raw", "raw_series.csv", "line"),
-    ("spectrum", "spectrum.csv", "loglog"),
+    ("raw", "raw_series.npy", "line"),
+    ("spectrum", "spectrum.npy", "loglog"),
     ("bicoherence_heatmap", HEATMAP_FILE, "heatmap"),
 )
 
@@ -347,17 +346,17 @@ def _render_panels(src: Path, out_dir: Path, grid: BispectrumGrid) -> list[str]:
         click.echo("matplotlib unavailable; skipping rendering", err=True)
         return []
     rendered = []
-    raw = np.loadtxt(src / "raw_series.csv", delimiter=",", skiprows=1)
+    raw = np.load(src / "raw_series.npy", allow_pickle=False)
     fig, ax = plt.subplots()
-    ax.plot(raw[:, 0], raw[:, 1], lw=0.5)
+    ax.plot(raw, lw=0.5)
     ax.set_xlabel("t"); ax.set_ylabel("value")
     fig.savefig(out_dir / "raw.png", metadata={"Software": ""})
     plt.close(fig)
     rendered.append("raw.png")
-    spec = np.loadtxt(src / "spectrum.csv", delimiter=",", skiprows=1)
+    power = np.load(src / "spectrum.npy", allow_pickle=False)
     fig, ax = plt.subplots()
-    nz = spec[:, 2] > 0
-    ax.loglog(spec[nz, 0], spec[nz, 2], lw=0.5)
+    nz = np.flatnonzero(power > 0)
+    ax.loglog(nz, power[nz], lw=0.5)
     ax.set_xlabel("bin"); ax.set_ylabel("power")
     fig.savefig(out_dir / "spectrum.png", metadata={"Software": ""})
     plt.close(fig)

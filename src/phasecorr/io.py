@@ -1,10 +1,9 @@
-"""Canonical on-disk formats: series, spectrum and solver-snapshot CSVs,
-the binary bispectrum grid, the bicoherence heatmap CSV and the plain-text
-hotspot report."""
+"""Canonical on-disk formats: series and solver-snapshot CSVs, ``.npy``
+arrays, the binary bispectrum grid, the bicoherence heatmap CSV and the
+plain-text hotspot report."""
 
 from __future__ import annotations
 
-import math
 import zipfile
 from pathlib import Path
 
@@ -16,7 +15,7 @@ from .spectral import BispectrumGrid, HotspotReport, TimeSeries, bicoherence
 __all__ = [
     "write_series_csv",
     "read_series_csv",
-    "write_spectrum_csv",
+    "save_array",
     "write_snapshot_csv",
     "save_grid",
     "load_grid",
@@ -35,31 +34,31 @@ def write_series_csv(path: str | Path, series: TimeSeries) -> None:
 
 
 def read_series_csv(path: str | Path) -> TimeSeries:
-    """Read a ``t,value`` CSV of UTF-8 text; a leading byte-order mark is skipped."""
+    """Read a ``t,value`` CSV of UTF-8 text line by line: a leading byte-order
+    mark is skipped, and only CR, LF and CRLF end a row."""
     path = Path(path)
+    values = []
     try:
-        lines = path.read_text(encoding="utf-8-sig").splitlines()
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            if fh.readline().strip().lower() != "t,value":
+                raise FileUnreadable(f"{path} is not a t,value series CSV")
+            for line in fh:
+                if not line.strip():
+                    continue
+                try:
+                    values.append(float(line.split(",")[1]))
+                except (IndexError, ValueError) as exc:
+                    row = line.rstrip("\r\n")
+                    raise FileUnreadable(f"{path}: bad row {row!r}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-    if not lines or lines[0].strip().lower() != "t,value":
-        raise FileUnreadable(f"{path} is not a t,value series CSV")
-    values = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        try:
-            values.append(float(line.split(",")[1]))
-        except (IndexError, ValueError) as exc:
-            raise FileUnreadable(f"{path}: bad row {line!r}") from exc
     return TimeSeries(values=np.array(values))
 
 
-def write_spectrum_csv(path: str | Path, power: np.ndarray, n: int) -> None:
-    """One row per bin 0..N/2 with the radians-per-sample frequency."""
-    with open(path, "w") as fh:
-        fh.write("bin,frequency_rad_per_sample,power\n")
-        for k, p in enumerate(np.asarray(power, dtype=float).tolist()):
-            fh.write(f"{k},{2.0 * math.pi * k / n!r},{p!r}\n")
+def save_array(path: str | Path, values: np.ndarray) -> None:
+    """Write a float64 array as ``.npy``; ``np.load`` reads it back bit for bit."""
+    with open(path, "wb") as fh:
+        np.save(fh, np.asarray(values, dtype=np.float64), allow_pickle=False)
 
 
 def write_snapshot_csv(path: str | Path, u: np.ndarray, length: float) -> None:

@@ -69,6 +69,8 @@ class SolverConfig:
                              f"got {self.forcing_amplitude}")
         if self.n_steps < 2:
             raise ValueError(f"n_steps must be >= 2 for a probe series, got {self.n_steps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.snapshot_stride < 0:
             raise ValueError(f"snapshot_stride must be >= 0, got {self.snapshot_stride}")
         if not (0 <= self.probe_index < self.n_grid):

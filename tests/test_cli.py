@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from phasecorr import analyze
+from phasecorr import analyze, build_series, dft_forward, load_ohlc_csv, power_spectrum
 from phasecorr.cli import main
 from phasecorr.io import format_hotspot_report, load_grid, read_series_csv, save_grid
 
@@ -173,7 +173,7 @@ class TestSimulate:
         assert res.exit_code == 0
         probe = read_series_csv(out / "probe.csv")
         assert len(probe) == 1000
-        assert (out / "spectrum.csv").exists()
+        assert (out / "spectrum.npy").exists()
         assert (out / "snap_00001000.csv").exists()
 
     def test_cfl_exit_code_3(self, runner, tmp_path):
@@ -214,8 +214,9 @@ class TestSimulate:
         ["--nu", "nan"],
         ["--forcing", "nan"],
         ["--dt", "inf"],
+        ["--seed", "-1"],
     ], ids=["steps-zero", "steps-negative", "stride-negative", "length-zero",
-            "length-negative", "nu-nan", "forcing-nan", "dt-inf"])
+            "length-negative", "nu-nan", "forcing-nan", "dt-inf", "seed-negative"])
     def test_bad_value_exit_2(self, runner, tmp_path, flags):
         out = tmp_path / "sim"
         res = runner.invoke(main, [
@@ -261,7 +262,7 @@ class TestAnalyze:
         res = run_cli(runner, ["analyze", str(csv), "--segments", "32", "--out", str(out)])
         assert res.exit_code == 0
         assert res.output.strip().endswith("PhaseCorrelated")
-        for name in ("raw_series.csv", "spectrum.csv", "bispectrum.npz",
+        for name in ("raw_series.npy", "spectrum.npy", "bispectrum.npz",
                      "hotspots.txt", "manifest.json"):
             assert (out / name).exists()
         report = (out / "hotspots.txt").read_text()
@@ -340,7 +341,7 @@ class TestAnalyze:
         out = tmp_path / "mk"
         res = run_cli(runner, ["analyze", str(path), "--ohlc", "--out", str(out)] + flags)
         assert res.exit_code == 0
-        n = len(read_series_csv(out / "raw_series.csv"))
+        n = len(np.load(out / "raw_series.npy"))
         assert n == (4095 if "log_return" in flags else 4096)
 
     @pytest.mark.parametrize("data, flags", [
@@ -386,6 +387,27 @@ class TestAnalyze:
         assert report.hotspots
         assert format_hotspot_report(report) == (an / "hotspots.txt").read_text()
 
+    @pytest.mark.parametrize("ohlc", [False, True], ids=["series", "ohlc"])
+    def test_npy_artifacts_bit_exact(self, runner, tmp_path, ohlc):
+        if ohlc:
+            path = write_ohlc_csv(tmp_path)
+            flags = ["--ohlc", "--transform", "log_return", "--segment-length", "256"]
+            series = build_series(load_ohlc_csv(path)[0], transform="log_return")
+        else:
+            path = make_triad_csv(runner, tmp_path, True)
+            flags = ["--segments", "32"]
+            series = read_series_csv(path)
+        runs = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            res = run_cli(runner, ["analyze", str(path), "--out", str(out)] + flags)
+            assert res.exit_code == 0
+            runs.append({n: (out / n).read_bytes() for n in ("raw_series.npy", "spectrum.npy")})
+        assert runs[0] == runs[1]
+        raw = np.load(tmp_path / "a" / "raw_series.npy", allow_pickle=False)
+        assert raw.dtype == np.float64 and raw.tobytes() == series.values.tobytes()
+        power = np.load(tmp_path / "a" / "spectrum.npy", allow_pickle=False)
+        assert power.tobytes() == power_spectrum(dft_forward(series)).tobytes()
+
     def test_ohlc_input(self, runner, tmp_path):
         path = write_ohlc_csv(tmp_path)
         out = tmp_path / "mk"
@@ -412,7 +434,7 @@ class TestReport:
         assert len(index["panels"]) == 3
 
     @pytest.mark.parametrize(
-        "name", ["raw_series.csv", "spectrum.csv", "bispectrum.npz", "hotspots.txt"])
+        "name", ["raw_series.npy", "spectrum.npy", "bispectrum.npz", "hotspots.txt"])
     def test_missing_input_exit_2(self, runner, tmp_path, name):
         an = self.completed_analysis(runner, tmp_path)
         (an / name).unlink()
@@ -442,6 +464,18 @@ class TestReport:
         assert outputs == ["heatmap.csv", "index.json"]
         assert not list(rep.glob("*.png"))
 
+    def test_render_writes_pngs(self, runner, tmp_path):
+        pytest.importorskip("matplotlib")
+        an = self.completed_analysis(runner, tmp_path)
+        rep = tmp_path / "rep"
+        res = run_cli(runner, ["report", str(an), "--out", str(rep), "--render"])
+        assert res.exit_code == 0
+        pngs = ["heatmap.png", "raw.png", "spectrum.png"]
+        outputs = json.loads((rep / "manifest.json").read_text())["outputs"]
+        assert outputs == sorted(["heatmap.csv", "index.json"] + pngs)
+        for name in pngs:
+            assert (rep / name).read_bytes().startswith(b"\x89PNG\r\n\x1a\n")
+
     def test_report_heatmap_from_grid(self, runner, tmp_path):
         an = self.completed_analysis(runner, tmp_path)
         rep = tmp_path / "rep"
@@ -464,7 +498,7 @@ class TestReport:
         index = json.loads((r1 / "index.json").read_text())
         files = {p["name"]: p["file"] for p in index["panels"]}
         files["verdict"] = index["verdict_file"]
-        expected = {"raw": an / "raw_series.csv", "spectrum": an / "spectrum.csv",
+        expected = {"raw": an / "raw_series.npy", "spectrum": an / "spectrum.npy",
                     "bicoherence_heatmap": r1 / "heatmap.csv", "verdict": an / "hotspots.txt"}
         assert {k: (r1 / f).resolve() for k, f in files.items()} == {
             k: f.resolve() for k, f in expected.items()}

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,11 +17,11 @@ from phasecorr.io import (
     _format_6g,
     load_grid,
     read_series_csv,
+    save_array,
     save_grid,
     write_heatmap_csv,
     write_series_csv,
     write_snapshot_csv,
-    write_spectrum_csv,
 )
 
 from oracles import domain_pairs, legacy_write_heatmap_csv
@@ -65,6 +66,21 @@ class TestSeriesCsv:
         with pytest.raises(FileUnreadable, match="cannot read"):
             read_series_csv(tmp_path / "s.csv")
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_rows_end_at_cr_or_lf(self, tmp_path, eol):
+        path = tmp_path / "s.csv"
+        path.write_bytes(eol.join(["t,value", "0,1.5", "1,-2.0", ""]).encode())
+        assert read_series_csv(path).values.tolist() == [1.5, -2.0]
+        path.write_bytes(eol.join(["t,value", "0,1.5", "1,abc", ""]).encode())
+        with pytest.raises(FileUnreadable, match=re.escape("bad row '1,abc'") + "$"):
+            read_series_csv(path)
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\f", "\x85"], ids=["u2028", "ff", "nel"])
+    def test_other_separators_do_not_split_a_row(self, tmp_path, sep):
+        (tmp_path / "s.csv").write_text(f"t,value\n0,1.5{sep}1,2.5\n", encoding="utf-8")
+        with pytest.raises(FileUnreadable, match="bad row"):
+            read_series_csv(tmp_path / "s.csv")
+
     def test_byte_order_mark_skipped(self, tmp_path):
         v = awkward_values(1000)
         write_series_csv(tmp_path / "s.csv", TimeSeries(v))
@@ -73,13 +89,13 @@ class TestSeriesCsv:
         assert back.values.tobytes() == read_series_csv(tmp_path / "s.csv").values.tobytes()
 
 
-def test_spectrum_bytes_match_row_format(tmp_path):
-    power = np.abs(awkward_values(70_001))
-    n = 2 * (len(power) - 1)
-    write_spectrum_csv(tmp_path / "p.csv", power, n)
-    want = "bin,frequency_rad_per_sample,power\n" + "".join(
-        f"{k},{2.0 * math.pi * k / n!r},{float(p)!r}\n" for k, p in enumerate(power))
-    assert (tmp_path / "p.csv").read_text() == want
+def test_array_npy_round_trip_bit_exact(tmp_path):
+    v = awkward_values(70_001)
+    save_array(tmp_path / "a.npy", v)
+    save_array(tmp_path / "b.npy", v)
+    assert (tmp_path / "a.npy").read_bytes() == (tmp_path / "b.npy").read_bytes()
+    back = np.load(tmp_path / "a.npy", allow_pickle=False)
+    assert back.dtype == np.float64 and back.tobytes() == v.tobytes()
 
 
 @pytest.mark.parametrize("length", [2.0 * math.pi, 1.0, 7.3])
