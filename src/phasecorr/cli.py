@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import BlowUp, CflViolation, PhasecorrError
 from .io import (
+    check_array,
     format_hotspot_report,
     load_grid,
     read_series_csv,
@@ -313,6 +314,9 @@ def cmd_report(ctx, analysis_dir, out, render):
             click.echo(f"missing input file: {src / name}", err=True)
             sys.exit(2)
     try:
+        for name in ANALYSIS_FILES:
+            if name.endswith(".npy"):
+                check_array(src / name)
         grid = load_grid(src / GRID_FILE)
     except PhasecorrError as exc:
         click.echo(f"input error: {exc}", err=True)

@@ -16,6 +16,7 @@ __all__ = [
     "write_series_csv",
     "read_series_csv",
     "save_array",
+    "check_array",
     "write_snapshot_csv",
     "save_grid",
     "load_grid",
@@ -23,7 +24,7 @@ __all__ = [
     "format_hotspot_report",
 ]
 
-_GRID_FIELDS = ("values", "norm_a", "norm_b", "segments_averaged", "segment_length")
+_GRID_FIELDS = ("values", "norm", "segments_averaged", "segment_length")
 
 
 def write_series_csv(path: str | Path, series: TimeSeries) -> None:
@@ -61,6 +62,21 @@ def save_array(path: str | Path, values: np.ndarray) -> None:
         np.save(fh, np.asarray(values, dtype=np.float64), allow_pickle=False)
 
 
+def check_array(path: str | Path) -> None:
+    """Raise ``FileUnreadable`` unless ``path`` is a 1-D float64 ``.npy`` file, as
+    ``save_array`` writes one; only the header is read."""
+    try:
+        array = np.load(path, mmap_mode="r", allow_pickle=False)
+    except (OSError, EOFError, ValueError) as exc:
+        raise FileUnreadable(f"cannot read array {path}: {exc}") from exc
+    if not isinstance(array, np.ndarray):  # an .npz archive
+        array.close()
+        raise FileUnreadable(f"{path} is an .npz archive, not an .npy array")
+    if array.ndim != 1 or array.dtype != np.float64:
+        raise FileUnreadable(f"{path} holds a {array.ndim}-D {array.dtype} array, "
+                             "not a 1-D float64 one")
+
+
 def write_snapshot_csv(path: str | Path, u: np.ndarray, length: float) -> None:
     """One ``x,u`` row per grid point x_j = j * length / n of a periodic field."""
     n = len(u)
@@ -91,8 +107,7 @@ def load_grid(path: str | Path) -> BispectrumGrid:
     try:
         grid = BispectrumGrid(
             values=np.asarray(fields["values"], dtype=complex),
-            norm_a=np.asarray(fields["norm_a"], dtype=float),
-            norm_b=np.asarray(fields["norm_b"], dtype=float),
+            norm=np.asarray(fields["norm"], dtype=float),
             segments_averaged=int(fields["segments_averaged"]),
             segment_length=int(fields["segment_length"]),
         )

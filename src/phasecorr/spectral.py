@@ -72,15 +72,15 @@ class BispectrumGrid:
     """Averaged triple products over the principal triangular domain.
 
     ``values[i] = <F(k1) F(k2) conj(F(k1+k2))>`` averaged over
-    ``segments_averaged`` segments, with the Cauchy-Schwarz normalizers
-    ``norm_a = <|F(k1)F(k2)|^2>`` and ``norm_b = <|F(k1+k2)|^2>``.  The
-    (k1, k2) layout, and with it ``half`` and ``offsets`` (the flat index of
-    each (k1, 0), then the bin count), follows from ``segment_length``.
+    ``segments_averaged`` segments, and ``norm[i] = <|F(k1)F(k2)|^2> *
+    <|F(k1+k2)|^2>``, the product of the two Cauchy-Schwarz normalizers and
+    the denominator of the bicoherence.  The (k1, k2) layout, and with it
+    ``half`` and ``offsets`` (the flat index of each (k1, 0), then the bin
+    count), follows from ``segment_length``.
     """
 
     values: np.ndarray
-    norm_a: np.ndarray
-    norm_b: np.ndarray
+    norm: np.ndarray
     segments_averaged: int
     segment_length: int
     half: int = field(init=False)
@@ -90,8 +90,7 @@ class BispectrumGrid:
         self.half = self.segment_length // 2
         n = len(self.values)
         # h + 1 rows hold more than h bins: the size is worked out only where it can fit
-        if not 0 <= self.half < n == len(self.norm_a) == len(self.norm_b) == _row_offsets(
-                self.half, self.half + 1):
+        if not 0 <= self.half < n == len(self.norm) == _row_offsets(self.half, self.half + 1):
             raise ValueError(f"segment length {self.segment_length} does not fit {n} bins")
         self.offsets = _row_offsets(self.half, np.arange(self.half + 2))
 
@@ -122,7 +121,7 @@ class BispectrumGrid:
     def bicoherence_at(self, k1: int, k2: int) -> float:
         i = self._index(k1, k2)
         one = slice(i, i + 1)  # numpy's scalar abs and ** can round unlike its array kernels
-        return float(_b2(self.values[one], self.norm_a[one] * self.norm_b[one])[0])
+        return float(_b2(self.values[one], self.norm[one])[0])
 
     def _dense_rows(self):
         """For each row k1 of the symmetric map, the flat indices of its columns 0..half-k1,
@@ -179,24 +178,30 @@ def _average_triple_products(F: np.ndarray, segment_length: int) -> BispectrumGr
 
     Row k1 = a of the domain reads k2 = 0..n-1 and k1 + k2 = a..a+n-1, two
     contiguous slices, so each row is one sum of products over segments with
-    no gathers.  No BLAS call is made, so the reduction order is fixed and the
-    result does not depend on the thread count.
+    no gathers.  The triple products read F transposed, bins by segments, so
+    each bin's sum over segments m = 0..M-1 runs along one contiguous row.
+    ``norm`` is the product of the averaged |F(k1)F(k2)|^2 and the averaged
+    power at k1 + k2, formed row by row.  No BLAS call is made, so the
+    reduction order is fixed and the result does not depend on the thread
+    count.
     """
     m = len(F)
     half = segment_length // 2
     size = _row_offsets(half, half + 1)
-    grid = BispectrumGrid(np.empty(size, dtype=complex), np.empty(size), np.empty(size), m,
-                          segment_length)
+    grid = BispectrumGrid(np.empty(size, dtype=complex), np.empty(size), m, segment_length)
     P = np.abs(F) ** 2
-    Fc = np.conj(F)
+    FT = np.ascontiguousarray(F.T)
+    FcT = np.conj(FT)
     off = grid.offsets.tolist()
     power = P.sum(axis=0) / m
     for a in range(half + 1):
         lo, hi = off[a], off[a + 1]
         n = hi - lo
-        grid.values[lo:hi] = np.einsum("m,mk,mk->k", F[:, a], F[:, :n], Fc[:, a : a + n]) / m
-        grid.norm_a[lo:hi] = np.einsum("m,mk->k", P[:, a], P[:, :n]) / m
-        grid.norm_b[lo:hi] = power[a : a + n]
+        np.einsum("m,km,km->k", FT[a], FT[:n], FcT[a : a + n], out=grid.values[lo:hi])
+        pair_power = np.einsum("m,mk->k", P[:, a], P[:, :n])
+        pair_power /= m
+        np.multiply(pair_power, power[a : a + n], out=grid.norm[lo:hi])
+    grid.values /= m
     return grid
 
 
@@ -285,7 +290,7 @@ def _b2(values, den):
 
 def bicoherence(grid: BispectrumGrid) -> np.ndarray:
     """Normalized squared bispectrum b^2 in [0, 1], flat over the principal domain."""
-    return _b2(grid.values, grid.norm_a * grid.norm_b)
+    return _b2(grid.values, grid.norm)
 
 
 def auto_threshold(grid: BispectrumGrid) -> float:
@@ -298,7 +303,7 @@ def auto_threshold(grid: BispectrumGrid) -> float:
     floor for tiny grids and the 0.8 cap preserves detectability of
     near-perfect coupling at small M.
     """
-    return _auto_threshold(np.count_nonzero(grid.norm_a * grid.norm_b > 0), grid.segments_averaged)
+    return _auto_threshold(np.count_nonzero(grid.norm > 0), grid.segments_averaged)
 
 
 def _auto_threshold(tested: int, m: int) -> float:
@@ -319,14 +324,13 @@ def detect_hotspots(
     else PhaseCorrelated iff any hotspot is found, and
     FullyDevelopedTurbulenceConsistent otherwise.
     """
-    den = grid.norm_a * grid.norm_b
-    tested = np.count_nonzero(den > 0)
+    tested = np.count_nonzero(grid.norm > 0)
     if threshold == "auto":
         thr = _auto_threshold(tested, grid.segments_averaged)
     else:
         thr = _check_threshold(float(threshold))
 
-    b2 = _b2(grid.values, den)
+    b2 = _b2(grid.values, grid.norm)
     i = np.flatnonzero(b2 > thr)
     k1, k2 = grid.coords(i)
     # a peak is at least each of its eight neighbours, read through the fold with

@@ -6,8 +6,10 @@ principal-domain (k1, k2) layout a literal double loop.
 The OHLCV oracle is the row-at-a-time loader the columnar one replaced,
 the solver oracles the physical-space RK4 step that the spectral-state
 one replaced and the per-step forcing that the time-blocked one replaced,
-and the heatmap oracle the dense-map writer that formats every cell with
-``format`` that the once-per-value one replaced.
+the heatmap oracle the dense-map writer that formats every cell with
+``format`` that the once-per-value one replaced, and the triple-product
+oracle the segment-major row loop with two normalizer arrays that the
+segment-inner loop with one normalizer product replaced.
 """
 
 import numpy as np
@@ -40,6 +42,32 @@ def bispectrum_direct(values):
         for k2 in range(min(k1, half - k1) + 1):
             out[(k1, k2)] = F[k1] * F[k2] * np.conj(F[k1 + k2])
     return out
+
+
+def legacy_average_triple_products(F, segment_length):
+    """The segment-major row loop that the segment-inner one replaced.
+
+    F is the (M, half+1) one-sided segment spectra.  Returns (values, norm_a,
+    norm_b) over the principal domain: the averaged triple products and the
+    two averaged normalizers <|F(k1)F(k2)|^2> and <|F(k1+k2)|^2>.
+    """
+    from phasecorr.spectral import _row_offsets
+
+    m = len(F)
+    half = segment_length // 2
+    size = _row_offsets(half, half + 1)
+    values, norm_a, norm_b = np.empty(size, dtype=complex), np.empty(size), np.empty(size)
+    P = np.abs(F) ** 2
+    Fc = np.conj(F)
+    off = _row_offsets(half, np.arange(half + 2)).tolist()
+    power = P.sum(axis=0) / m
+    for a in range(half + 1):
+        lo, hi = off[a], off[a + 1]
+        n = hi - lo
+        values[lo:hi] = np.einsum("m,mk,mk->k", F[:, a], F[:, :n], Fc[:, a : a + n]) / m
+        norm_a[lo:hi] = np.einsum("m,mk->k", P[:, a], P[:, :n]) / m
+        norm_b[lo:hi] = power[a : a + n]
+    return values, norm_a, norm_b
 
 
 def legacy_load_ohlc_csv(path, schema=None):

@@ -444,6 +444,38 @@ class TestReport:
         assert name in res.output
         assert not rep.exists()
 
+    @pytest.mark.parametrize("content", ["junk", "pickled", "2-d", "npz"])
+    @pytest.mark.parametrize("name", ["raw_series.npy", "spectrum.npy"])
+    def test_bad_panel_exit_2(self, runner, tmp_path, name, content):
+        an = self.completed_analysis(runner, tmp_path)
+        if content == "junk":
+            (an / name).write_bytes(b"\x00\x01\x02\x03")
+        elif content == "pickled":
+            np.save(an / name, np.array([{"a": 1}, None], dtype=object), allow_pickle=True)
+        elif content == "2-d":
+            np.save(an / name, np.zeros((4, 3)))
+        else:
+            with open(an / name, "wb") as fh:
+                np.savez(fh, values=np.zeros(4))
+        rep = tmp_path / "rep"
+        res = runner.invoke(main, ["report", str(an), "--out", str(rep)])
+        assert res.exit_code == 2
+        assert "input error:" in res.output and name in res.output
+        assert not rep.exists()
+
+    def test_old_grid_layout_exit_2(self, runner, tmp_path):
+        # an archive with the two normalizers and no product is not read
+        an = self.completed_analysis(runner, tmp_path)
+        g = load_grid(an / "bispectrum.npz")
+        np.savez(an / "bispectrum.npz", values=g.values, norm_a=g.norm,
+                 norm_b=np.ones(len(g.norm)), segments_averaged=g.segments_averaged,
+                 segment_length=g.segment_length)
+        rep = tmp_path / "rep"
+        res = runner.invoke(main, ["report", str(an), "--out", str(rep)])
+        assert res.exit_code == 2
+        assert "input error:" in res.output and "norm" in res.output
+        assert not rep.exists()
+
     @pytest.mark.parametrize("spelling", [".", "../an"], ids=["same", "respelled"])
     def test_out_is_analysis_dir_exit_2(self, runner, tmp_path, spelling):
         an = self.completed_analysis(runner, tmp_path)

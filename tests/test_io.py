@@ -1,5 +1,6 @@
 import math
 import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -117,7 +118,7 @@ class TestGridArchive:
         g = small_grid()
         save_grid(tmp_path / "g.npz", g)
         back = load_grid(tmp_path / "g.npz")
-        for name in ("values", "norm_a", "norm_b", "offsets"):
+        for name in ("values", "norm", "offsets"):
             assert getattr(back, name).dtype == getattr(g, name).dtype
             assert np.array_equal(getattr(back, name), getattr(g, name))
         assert (back.segments_averaged, back.segment_length, back.half) == \
@@ -142,6 +143,23 @@ class TestGridArchive:
         assert np.array_equal(table[:, 0], want1) and np.array_equal(table[:, 1], want2)
         assert np.array_equal(table[:, 5], bicoherence(g))
 
+    def test_members_and_size(self, tmp_path):
+        g = small_grid()
+        save_grid(tmp_path / "g.npz", g)
+        with zipfile.ZipFile(tmp_path / "g.npz") as archive:
+            members = sorted(archive.namelist())
+        assert members == ["norm.npy", "segment_length.npy", "segments_averaged.npy",
+                           "values.npy"]
+        assert (tmp_path / "g.npz").stat().st_size <= 24 * len(g.values) + 2048
+
+    def test_old_layout_rejected(self, tmp_path):
+        # the two normalizers are not multiplied into the missing product
+        g = small_grid()
+        np.savez(tmp_path / "g.npz", values=g.values, norm_a=g.norm, norm_b=np.ones(len(g.norm)),
+                 segments_averaged=g.segments_averaged, segment_length=g.segment_length)
+        with pytest.raises(FileUnreadable, match=r"\bnorm\b"):
+            load_grid(tmp_path / "g.npz")
+
     def test_not_an_archive(self, tmp_path):
         (tmp_path / "g.npz").write_text("k1,k2,re,im\n")
         with pytest.raises(FileUnreadable):
@@ -149,7 +167,7 @@ class TestGridArchive:
 
     def test_wrong_bin_count(self, tmp_path):
         g = small_grid()
-        np.savez(tmp_path / "g.npz", values=g.values[:-1], norm_a=g.norm_a, norm_b=g.norm_b,
+        np.savez(tmp_path / "g.npz", values=g.values[:-1], norm=g.norm,
                  segments_averaged=g.segments_averaged, segment_length=g.segment_length)
         with pytest.raises(FileUnreadable, match="bins"):
             load_grid(tmp_path / "g.npz")
@@ -157,7 +175,7 @@ class TestGridArchive:
     @pytest.mark.parametrize("segment_length", [-8, 1 << 40])
     def test_segment_length_not_matching_bins(self, tmp_path, segment_length):
         g = small_grid()
-        np.savez(tmp_path / "g.npz", values=g.values, norm_a=g.norm_a, norm_b=g.norm_b,
+        np.savez(tmp_path / "g.npz", values=g.values, norm=g.norm,
                  segments_averaged=g.segments_averaged, segment_length=segment_length)
         with pytest.raises(FileUnreadable, match="bins"):
             load_grid(tmp_path / "g.npz")
@@ -239,6 +257,6 @@ class TestHeatmapAgainstLegacy:
                        size)
         norm_a = np.ones(size)
         norm_a[::7] = 0.0
-        g = BispectrumGrid(values=np.sqrt(b2) + 0j, norm_a=norm_a, norm_b=np.ones(size),
+        g = BispectrumGrid(values=np.sqrt(b2) + 0j, norm=norm_a * np.ones(size),
                            segments_averaged=1, segment_length=segment_length)
         assert_heatmap_matches_legacy(tmp_path, g)

@@ -23,7 +23,8 @@ from phasecorr.errors import (
     SegmentTooLong,
 )
 
-from oracles import bispectrum_direct, dft_direct, domain_pairs
+import phasecorr.spectral as spectral
+from oracles import bispectrum_direct, dft_direct, domain_pairs, legacy_average_triple_products
 
 
 def seeded_series(seed, n):
@@ -181,7 +182,7 @@ class TestDomainLayout:
     def test_closed_form_matches_loop(self, half):
         k1 = domain_pairs(half)[0].tolist()
         bins = len(k1)
-        g = BispectrumGrid(np.zeros(bins, dtype=complex), np.zeros(bins), np.zeros(bins),
+        g = BispectrumGrid(np.zeros(bins, dtype=complex), np.zeros(bins) * np.zeros(bins),
                            1, 2 * half)
         assert g.offsets.tolist() == [k1.index(a) for a in range(half + 1)] + [bins]
         assert_layout_matches_loop(g)
@@ -215,9 +216,10 @@ class TestDomainLayout:
 
 
 def per_segment_reference(values, seg_len, overlap, window, detrend):
-    """Average of single-segment grids, one segment at a time."""
+    """Single-segment triple products and the two normalizers, one segment at a time."""
     step = max(1, int(round(seg_len * (1.0 - overlap))))
     t = np.arange(seg_len)
+    k1, k2 = domain_pairs(seg_len // 2)
     grids = []
     for s in range(0, len(values) - seg_len + 1, step):
         seg = values[s : s + seg_len]
@@ -227,7 +229,10 @@ def per_segment_reference(values, seg_len, overlap, window, detrend):
             seg = seg - np.polyval(np.polyfit(t, seg, 1), t)
         if window == "hann":
             seg = seg * np.hanning(seg_len)
-        grids.append(bispectrum(dft_forward(TimeSeries(seg))))
+        F = dft_forward(TimeSeries(seg))
+        P = np.abs(F) ** 2
+        grids.append({"values": bispectrum(F).values, "norm_a": P[k1] * P[k2],
+                      "norm_b": P[k1 + k2]})
     return grids
 
 
@@ -243,9 +248,9 @@ class TestSegmentedBispectrum:
                                  window=window, detrend=detrend)
         grids = per_segment_reference(values, 64, overlap, window, detrend)
         assert g.segments_averaged == len(grids) == (5 if overlap == 0.0 else 9)
-        for name in ("values", "norm_a", "norm_b"):
-            want = np.mean([getattr(r, name) for r in grids], axis=0)
-            got = getattr(g, name)
+        mean = {name: np.mean([r[name] for r in grids], axis=0)
+                for name in ("values", "norm_a", "norm_b")}
+        for got, want in ((g.values, mean["values"]), (g.norm, mean["norm_a"] * mean["norm_b"])):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_identical_segments_average_to_single(self):
@@ -328,6 +333,39 @@ class TestSegmentedBispectrum:
         assert b2.min() >= 0.0 and b2.max() <= 1.0 + 1e-12
 
 
+class TestTriplesAgainstLegacy:
+    """The segment-inner kernel writes the segment-major loop's values, and its
+    normalizer product, bit for bit."""
+
+    @staticmethod
+    def assert_matches_legacy(g, F):
+        values, norm_a, norm_b = legacy_average_triple_products(F, g.segment_length)
+        assert g.values.tobytes() == values.tobytes()
+        assert g.norm.tobytes() == (norm_a * norm_b).tobytes()
+
+    @pytest.mark.parametrize("window", ["rectangular", "hann"])
+    @pytest.mark.parametrize("detrend", ["none", "demean", "linear"])
+    @pytest.mark.parametrize("overlap", [0.0, 0.5])
+    @pytest.mark.parametrize("segment_length", [8, 64, 1024])
+    def test_segmented(self, monkeypatch, segment_length, overlap, detrend, window):
+        kernel, spectra = spectral._average_triple_products, []
+
+        def spy(F, segment_length):
+            spectra.append(F)
+            return kernel(F, segment_length)
+
+        monkeypatch.setattr(spectral, "_average_triple_products", spy)
+        values = np.random.default_rng(segment_length).normal(size=20 * segment_length + 5)
+        g = segmented_bispectrum(TimeSeries(values), segment_length, overlap, window, detrend)
+        assert len(spectra) == 1 and len(spectra[0]) == g.segments_averaged > 1
+        self.assert_matches_legacy(g, spectra[0])
+
+    @pytest.mark.parametrize("n", [8, 9, 64, 1000])
+    def test_single_segment(self, n):
+        F = dft_forward(seeded_series(n, n))
+        self.assert_matches_legacy(bispectrum(F), F[None, : n // 2 + 1])
+
+
 class TestBicoherence:
     def test_at_matches_map(self):
         g = segmented_bispectrum(seeded_series(8, 64 * 256), 256)
@@ -338,7 +376,7 @@ class TestBicoherence:
     def test_single_segment_is_one_on_support(self):
         g = bispectrum(dft_forward(seeded_series(2, 64)))
         b2 = bicoherence(g)
-        support = g.norm_a * g.norm_b > 0
+        support = g.norm > 0
         assert np.abs(b2[support] - 1.0).max() < 1e-9
 
     def test_bounded(self):
@@ -352,9 +390,9 @@ class TestBicoherence:
     def test_matches_masked_division(self):
         g = segmented_bispectrum(seeded_series(4, 4096), 256)
         # zero normalisers on a third of the bins, as on bins with no power
-        norm_a = np.where(np.arange(len(g.values)) % 3 == 0, 0.0, g.norm_a)
-        g = BispectrumGrid(g.values, norm_a, g.norm_b, g.segments_averaged, g.segment_length)
-        den = g.norm_a * g.norm_b
+        norm = np.where(np.arange(len(g.values)) % 3 == 0, 0.0, g.norm)
+        g = BispectrumGrid(g.values, norm, g.segments_averaged, g.segment_length)
+        den = g.norm
         nz = den > 0
         old = np.zeros(len(g.values))
         old[nz] = np.abs(g.values[nz]) ** 2 / den[nz]
@@ -428,7 +466,7 @@ class TestDetectHotspots:
         g = segmented_bispectrum(TimeSeries(np.full(64 * 256, level)), 256,
                                  window=window, detrend=detrend)
         assert g.segments_averaged == 64
-        assert not (g.norm_a * g.norm_b > 0).any()
+        assert not (g.norm > 0).any()
         rep = detect_hotspots(g, threshold=threshold)
         assert rep.hotspots == []
         assert rep.verdict is Verdict.INCONCLUSIVE
@@ -454,14 +492,14 @@ class TestDetectHotspots:
         b2 = np.zeros(len(k1))
         b2[(k1 == 6) & (k2 == 2)], b2[-1] = 0.5, 0.9
         ones = np.ones(len(k1))
-        g = BispectrumGrid(np.sqrt(b2).astype(complex), ones, ones, 64, 16)
+        g = BispectrumGrid(np.sqrt(b2).astype(complex), ones * ones, 64, 16)
         rep = detect_hotspots(g, threshold=0.3)
         assert [h[:2] for h in rep.hotspots] == [(8, 0), (6, 2)]
         assert rep.hotspots == hotspots_reference(g, 0.3)
 
     def test_auto_threshold_reported(self):
         g, _, _ = self.coupled_grid()
-        tested = np.count_nonzero(g.norm_a * g.norm_b > 0)
+        tested = np.count_nonzero(g.norm > 0)
         m = g.segments_averaged
         expected = min(0.8, max(6.0 / m, 0.2, (math.log(tested) + 15.0) / m))
         assert detect_hotspots(g).threshold_used == auto_threshold(g) == expected
