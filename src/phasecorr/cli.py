@@ -69,6 +69,8 @@ def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -
         key = key.strip().replace("-", "_")
         if key not in names:
             raise click.BadParameter(f"unknown key {key!r}", ctx, param)
+        if key in values:
+            raise click.BadParameter(f"key {key!r} given twice", ctx, param)
         values[key] = value.strip()
     ctx.default_map = values
 
@@ -116,6 +118,19 @@ def _prepare_out(out: str) -> Path:
     return path
 
 
+def _write_generated(ctx: click.Context, command: str, out: str, make) -> None:
+    """Write the series ``make()`` returns to ``series.csv`` in ``out``, with its
+    manifest; a bad spec is a usage error, raised before ``out`` is made."""
+    try:
+        series = make()
+    except (PhasecorrError, ValueError) as exc:
+        raise click.UsageError(str(exc))
+    out_dir = _prepare_out(out)
+    write_series_csv(out_dir / "series.csv", series)
+    _write_manifest(out_dir, command, ctx.params, [], ["series.csv"])
+    click.echo(f"wrote {out_dir / 'series.csv'} ({len(series)} samples)")
+
+
 @click.group()
 @click.version_option(__version__)
 def main() -> None:
@@ -145,24 +160,16 @@ def generate() -> None:
 def cmd_generate_triad(ctx, coupled, omega_a, omega_b, frequency_rule, n, noise,
                        phase_block, seed, out):
     """Write a three-cosine series with or without quadratic phase coupling."""
-    try:
-        spec = TriadSpec(
-            omega_alpha=omega_a,
-            omega_beta=omega_b,
-            coupling="phase_sum" if coupled else "independent",
-            frequency_rule=frequency_rule,
-            n_samples=n,
-            noise_amplitude=noise,
-            seed=seed,
-            phase_block=phase_block or None,
-        )
-        series = gen_triad(spec)
-    except (PhasecorrError, ValueError) as exc:
-        raise click.UsageError(str(exc))
-    out_dir = _prepare_out(out)
-    write_series_csv(out_dir / "series.csv", series)
-    _write_manifest(out_dir, "generate triad", ctx.params, [], ["series.csv"])
-    click.echo(f"wrote {out_dir / 'series.csv'} ({len(series)} samples)")
+    _write_generated(ctx, "generate triad", out, lambda: gen_triad(TriadSpec(
+        omega_alpha=omega_a,
+        omega_beta=omega_b,
+        coupling="phase_sum" if coupled else "independent",
+        frequency_rule=frequency_rule,
+        n_samples=n,
+        noise_amplitude=noise,
+        seed=seed,
+        phase_block=phase_block or None,
+    )))
 
 
 @generate.command("noise")
@@ -176,15 +183,9 @@ def cmd_generate_triad(ctx, coupled, omega_a, omega_b, frequency_rule, n, noise,
 @click.pass_context
 def cmd_generate_noise(ctx, kind, n, amplitude, seed, out):
     """Write uniform white noise or Box-Muller Gaussian noise."""
-    try:
-        spec = NoiseSpec(n_samples=n, amplitude=amplitude, seed=seed)
-        series = gen_white_uniform(spec) if kind == "uniform" else gen_gaussian_box_muller(spec)
-    except (PhasecorrError, ValueError) as exc:
-        raise click.UsageError(str(exc))
-    out_dir = _prepare_out(out)
-    write_series_csv(out_dir / "series.csv", series)
-    _write_manifest(out_dir, "generate noise", ctx.params, [], ["series.csv"])
-    click.echo(f"wrote {out_dir / 'series.csv'} ({len(series)} samples)")
+    gen = gen_white_uniform if kind == "uniform" else gen_gaussian_box_muller
+    _write_generated(ctx, "generate noise", out, lambda: gen(
+        NoiseSpec(n_samples=n, amplitude=amplitude, seed=seed)))
 
 
 @main.command("simulate")
@@ -284,12 +285,12 @@ def cmd_analyze(ctx, input_path, ohlc, price_field, transform, segments, segment
     click.echo(hotspots.verdict.value)
 
 
-# (panel, file, plot kind): the heatmap is derived from the grid into the
-# report bundle, and the other panels are analysis files it references
+# (panel, file, plot kind, rendered image): the heatmap is derived from the grid
+# into the report bundle, and the other panels are analysis files it references
 REPORT_PANELS = (
-    ("raw", "raw_series.npy", "line"),
-    ("spectrum", "spectrum.npy", "loglog"),
-    ("bicoherence_heatmap", HEATMAP_FILE, "heatmap"),
+    ("raw", "raw_series.npy", "line", "raw.png"),
+    ("spectrum", "spectrum.npy", "loglog", "spectrum.png"),
+    ("bicoherence_heatmap", HEATMAP_FILE, "heatmap", "heatmap.png"),
 )
 
 
@@ -329,7 +330,7 @@ def cmd_report(ctx, analysis_dir, out, render):
 
     index = {
         "panels": [{"name": panel, "file": ref(name), "kind": kind}
-                   for panel, name, kind in REPORT_PANELS],
+                   for panel, name, kind, _ in REPORT_PANELS],
         "verdict_file": ref("hotspots.txt"),
     }
     (out_dir / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
@@ -350,27 +351,22 @@ def _render_panels(src: Path, out_dir: Path, grid: BispectrumGrid) -> list[str]:
         click.echo("matplotlib unavailable; skipping rendering", err=True)
         return []
     rendered = []
-    raw = np.load(src / "raw_series.npy", allow_pickle=False)
-    fig, ax = plt.subplots()
-    ax.plot(raw, lw=0.5)
-    ax.set_xlabel("t"); ax.set_ylabel("value")
-    fig.savefig(out_dir / "raw.png", metadata={"Software": ""})
-    plt.close(fig)
-    rendered.append("raw.png")
-    power = np.load(src / "spectrum.npy", allow_pickle=False)
-    fig, ax = plt.subplots()
-    nz = np.flatnonzero(power > 0)
-    ax.loglog(nz, power[nz], lw=0.5)
-    ax.set_xlabel("bin"); ax.set_ylabel("power")
-    fig.savefig(out_dir / "spectrum.png", metadata={"Software": ""})
-    plt.close(fig)
-    rendered.append("spectrum.png")
-    fig, ax = plt.subplots()
-    ax.imshow(grid.dense(), origin="lower", aspect="auto", cmap="viridis")
-    ax.set_xlabel("k2"); ax.set_ylabel("k1")
-    fig.savefig(out_dir / "heatmap.png", metadata={"Software": ""})
-    plt.close(fig)
-    rendered.append("heatmap.png")
+    for _, name, kind, image in REPORT_PANELS:
+        fig, ax = plt.subplots()
+        if kind == "line":
+            ax.plot(np.load(src / name, allow_pickle=False), lw=0.5)
+            ax.set_xlabel("t"); ax.set_ylabel("value")
+        elif kind == "loglog":
+            power = np.load(src / name, allow_pickle=False)
+            nz = np.flatnonzero(power > 0)
+            ax.loglog(nz, power[nz], lw=0.5)
+            ax.set_xlabel("bin"); ax.set_ylabel("power")
+        else:
+            ax.imshow(grid.dense(), origin="lower", aspect="auto", cmap="viridis")
+            ax.set_xlabel("k2"); ax.set_ylabel("k1")
+        fig.savefig(out_dir / image, metadata={"Software": ""})
+        plt.close(fig)
+        rendered.append(image)
     return rendered
 
 

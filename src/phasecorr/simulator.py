@@ -158,38 +158,22 @@ def step(state: FieldState, config: SolverConfig) -> FieldState:
     block, row = divmod(state.step, FORCING_BLOCK)
     fh = _forcing_block(config.seed, n, config.forcing_amplitude, block)[row]
 
-    # every term is masked, so the right-hand side and the update stay masked;
-    # each in-place operation keeps the operand order of the plain expression
-    # it stands for, so it rounds the same way
+    # every term is masked, so the right-hand side and the update stay masked
     def rhs(uh, u=None):
-        r = lin * uh
-        r += fh
+        r = lin * uh + fh
         if nonlinear:
             if u is None:
                 u = np.fft.irfft(uh, n)
-            nl = np.fft.rfft(u * u)
-            r -= np.multiply(ik_half, nl, out=nl)
+            r -= ik_half * np.fft.rfft(u * u)
         return r
 
     dt = config.dt
     r1 = rhs(uh, u)
-    stage = np.multiply(0.5 * dt, r1)
-    stage += uh
-    r2 = rhs(stage)
-    np.multiply(0.5 * dt, r2, out=stage)
-    stage += uh
-    r3 = rhs(stage)
-    np.multiply(dt, r3, out=stage)
-    stage += uh
-    r4 = rhs(stage)
-    # uh + (dt / 6) * (r1 + 2 r2 + 2 r3 + r4), summed in r2's buffer
-    acc = np.multiply(2.0, r2, out=r2)
-    acc += r1
-    acc += np.multiply(2.0, r3, out=r3)
-    acc += r4
-    np.multiply(dt / 6.0, acc, out=acc)
-    acc += uh
-    uh = acc
+    r2 = rhs(uh + 0.5 * dt * r1)
+    r3 = rhs(uh + 0.5 * dt * r2)
+    r4 = rhs(uh + dt * r3)
+    # the classical weights, summed in this order: another order rounds differently
+    uh = uh + (dt / 6.0) * (2.0 * r2 + r1 + 2.0 * r3 + r4)
     u = np.fft.irfft(uh, n)
 
     umax = float(np.abs(u).max())

@@ -303,10 +303,7 @@ def auto_threshold(grid: BispectrumGrid) -> float:
     floor for tiny grids and the 0.8 cap preserves detectability of
     near-perfect coupling at small M.
     """
-    return _auto_threshold(np.count_nonzero(grid.norm > 0), grid.segments_averaged)
-
-
-def _auto_threshold(tested: int, m: int) -> float:
+    tested, m = np.count_nonzero(grid.norm > 0), grid.segments_averaged
     return min(0.8, max(6.0 / m, 0.2, (math.log(max(1, tested)) + 15.0) / m))
 
 
@@ -324,13 +321,8 @@ def detect_hotspots(
     else PhaseCorrelated iff any hotspot is found, and
     FullyDevelopedTurbulenceConsistent otherwise.
     """
-    tested = np.count_nonzero(grid.norm > 0)
-    if threshold == "auto":
-        thr = _auto_threshold(tested, grid.segments_averaged)
-    else:
-        thr = _check_threshold(float(threshold))
-
-    b2 = _b2(grid.values, grid.norm)
+    thr = auto_threshold(grid) if threshold == "auto" else _check_threshold(float(threshold))
+    b2 = bicoherence(grid)
     i = np.flatnonzero(b2 > thr)
     k1, k2 = grid.coords(i)
     # a peak is at least each of its eight neighbours, read through the fold with
@@ -347,7 +339,7 @@ def detect_hotspots(
     ]
     hotspots.sort(key=lambda h: h[2], reverse=True)
 
-    if grid.segments_averaged < min_segments or not tested:
+    if grid.segments_averaged < min_segments or not np.any(grid.norm > 0):
         verdict = Verdict.INCONCLUSIVE
     elif hotspots:
         verdict = Verdict.PHASE_CORRELATED

@@ -5,7 +5,8 @@ literal O(N^2) definition sum, the bispectrum a literal triple loop and the
 principal-domain (k1, k2) layout a literal double loop.
 The OHLCV oracle is the row-at-a-time loader the columnar one replaced,
 the solver oracles the physical-space RK4 step that the spectral-state
-one replaced and the per-step forcing that the time-blocked one replaced,
+one replaced, the in-place RK4 stages that the plain expressions replaced
+and the per-step forcing that the time-blocked one replaced,
 the heatmap oracle the dense-map writer that formats every cell with
 ``format`` that the once-per-value one replaced, and the triple-product
 oracle the segment-major row loop with two normalizer arrays that the
@@ -219,15 +220,85 @@ def legacy_step(state, config):
     return FieldState(u=u, time=state.time + dt, step=state.step + 1)
 
 
-def legacy_run(config):
-    """The run loop over ``legacy_step``: (probe values, snapshots, final state)."""
+def inplace_step(state, config):
+    """The solver step that the plain RK4 one replaced: the same spectral-state
+    step with the stages summed into reused buffers by in-place operations."""
+    from phasecorr.errors import BlowUp, CflViolation
+    from phasecorr.simulator import (
+        BLOWUP_LIMIT,
+        FORCING_BLOCK,
+        FieldState,
+        _forcing_block,
+        _spectral_operators,
+    )
+
+    n = config.n_grid
+    lin, ik_half, mask = _spectral_operators(n, config.length, config.nu)
+    nonlinear = config.equation == "burgers"
+
+    u = state.u
+    if nonlinear:
+        umax = state.umax if state.umax is not None else float(np.abs(u).max())
+        cfl = config.dt * umax / (config.length / n)
+        if cfl >= 1.0:
+            raise CflViolation(state.step, cfl)
+    uh = state.uh
+    if uh is None:
+        uh = np.fft.rfft(u) * mask
+        u = np.fft.irfft(uh, n)  # the dealiased field the spectrum stands for
+
+    block, row = divmod(state.step, FORCING_BLOCK)
+    fh = _forcing_block(config.seed, n, config.forcing_amplitude, block)[row]
+
+    # every term is masked, so the right-hand side and the update stay masked;
+    # each in-place operation keeps the operand order of the plain expression
+    # it stands for, so it rounds the same way
+    def rhs(uh, u=None):
+        r = lin * uh
+        r += fh
+        if nonlinear:
+            if u is None:
+                u = np.fft.irfft(uh, n)
+            nl = np.fft.rfft(u * u)
+            r -= np.multiply(ik_half, nl, out=nl)
+        return r
+
+    dt = config.dt
+    r1 = rhs(uh, u)
+    stage = np.multiply(0.5 * dt, r1)
+    stage += uh
+    r2 = rhs(stage)
+    np.multiply(0.5 * dt, r2, out=stage)
+    stage += uh
+    r3 = rhs(stage)
+    np.multiply(dt, r3, out=stage)
+    stage += uh
+    r4 = rhs(stage)
+    # uh + (dt / 6) * (r1 + 2 r2 + 2 r3 + r4), summed in r2's buffer
+    acc = np.multiply(2.0, r2, out=r2)
+    acc += r1
+    acc += np.multiply(2.0, r3, out=r3)
+    acc += r4
+    np.multiply(dt / 6.0, acc, out=acc)
+    acc += uh
+    uh = acc
+    u = np.fft.irfft(uh, n)
+
+    umax = float(np.abs(u).max())
+    if not umax <= BLOWUP_LIMIT:  # also true for NaN
+        raise BlowUp(state.step)
+    return FieldState(u=u, time=state.time + dt, step=state.step + 1, uh=uh, umax=umax)
+
+
+def legacy_run(config, step=legacy_step):
+    """The run loop over ``step``: (probe values, snapshots, final state)."""
     from phasecorr.simulator import init_field
 
     state = init_field(config)
     probe = np.empty(config.n_steps)
     snapshots = []
     for i in range(config.n_steps):
-        state = legacy_step(state, config)
+        state = step(state, config)
         probe[i] = state.u[config.probe_index]
         if config.snapshot_stride and state.step % config.snapshot_stride == 0:
             snapshots.append((state.step, state.u.copy()))

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import sys
 import time
+import types
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -128,10 +130,12 @@ class TestConfigFile:
         (["analyze", "{csv}"], "threshold=1\n", "--threshold"),
         (["generate", "noise", "--n", "64"], "bogus=1\n", "bogus"),
         (["generate", "noise", "--n", "64"], "n 128\n", "--config"),
+        (["generate", "noise"], "n=64\nn=128\n", "'n' given twice"),
+        (["analyze", "{csv}"], "min-segments=4\nmin_segments=32\n", "'min_segments' given twice"),
     ], ids=["choice", "float", "float-triad", "bool", "int", "segments-zero",
             "min-segments-negative", "field-without-ohlc", "transform-without-ohlc",
             "both-segment-options", "overlap", "segment-length", "threshold-one", "unknown-key",
-            "no-equals"])
+            "no-equals", "repeated-key", "repeated-key-spelling"])
     def test_bad_value_exit_2(self, runner, tmp_path, command, text, name):
         csv = write_noise_csv(runner, tmp_path, n=256)
         out = tmp_path / "out"
@@ -507,6 +511,80 @@ class TestReport:
         assert outputs == sorted(["heatmap.csv", "index.json"] + pngs)
         for name in pngs:
             assert (rep / name).read_bytes().startswith(b"\x89PNG\r\n\x1a\n")
+
+    def test_render_calls_recorded(self, runner, tmp_path, monkeypatch):
+        # a stub matplotlib records every call, with each array as a digest
+        calls = []
+
+        def digest(x):
+            if isinstance(x, np.ndarray):
+                return x.dtype.str, x.shape, hashlib.sha256(x.tobytes()).hexdigest()
+            return x
+
+        def recorder(name, figure=None):
+            def call(*args, **kwargs):
+                calls.append((name, figure, [digest(a) for a in args],
+                              {k: digest(v) for k, v in kwargs.items()}))
+            return call
+
+        class Figure:
+            def __init__(self, number):
+                self.number = number
+                self.savefig = recorder("savefig", number)
+
+        class Axes:
+            def __init__(self, number):
+                self.number = number
+
+            def __getattr__(self, name):
+                return recorder(name, self.number)
+
+        def subplots(*args, **kwargs):
+            recorder("subplots")(*args, **kwargs)
+            number = sum(c[0] == "subplots" for c in calls)
+            return Figure(number), Axes(number)
+
+        pyplot = types.ModuleType("matplotlib.pyplot")
+        pyplot.subplots = subplots
+        pyplot.close = lambda fig: calls.append(("close", fig.number, [], {}))
+        mpl = types.ModuleType("matplotlib")
+        mpl.use, mpl.pyplot = recorder("use"), pyplot
+        monkeypatch.setitem(sys.modules, "matplotlib", mpl)
+        monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+
+        an = self.completed_analysis(runner, tmp_path)
+        rep = tmp_path / "rep"
+        res = run_cli(runner, ["report", str(an), "--out", str(rep), "--render"])
+        assert res.exit_code == 0
+        raw = np.load(an / "raw_series.npy")
+        power = np.load(an / "spectrum.npy")
+        nz = np.flatnonzero(power > 0)
+        dense = load_grid(an / "bispectrum.npz").dense()
+        meta = {"metadata": {"Software": ""}}
+        assert calls == [
+            ("use", None, ["Agg"], {}),
+            ("subplots", None, [], {}),
+            ("plot", 1, [digest(raw)], {"lw": 0.5}),
+            ("set_xlabel", 1, ["t"], {}),
+            ("set_ylabel", 1, ["value"], {}),
+            ("savefig", 1, [rep / "raw.png"], meta),
+            ("close", 1, [], {}),
+            ("subplots", None, [], {}),
+            ("loglog", 2, [digest(nz), digest(power[nz])], {"lw": 0.5}),
+            ("set_xlabel", 2, ["bin"], {}),
+            ("set_ylabel", 2, ["power"], {}),
+            ("savefig", 2, [rep / "spectrum.png"], meta),
+            ("close", 2, [], {}),
+            ("subplots", None, [], {}),
+            ("imshow", 3, [digest(dense)],
+             {"origin": "lower", "aspect": "auto", "cmap": "viridis"}),
+            ("set_xlabel", 3, ["k2"], {}),
+            ("set_ylabel", 3, ["k1"], {}),
+            ("savefig", 3, [rep / "heatmap.png"], meta),
+            ("close", 3, [], {}),
+        ]
+        outputs = json.loads((rep / "manifest.json").read_text())["outputs"]
+        assert outputs == ["heatmap.csv", "heatmap.png", "index.json", "raw.png", "spectrum.png"]
 
     def test_report_heatmap_from_grid(self, runner, tmp_path):
         an = self.completed_analysis(runner, tmp_path)

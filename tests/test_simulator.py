@@ -15,7 +15,7 @@ from phasecorr import (
 from phasecorr.errors import BlowUp, CflViolation
 from phasecorr.simulator import FORCING_BLOCK, _forcing_block
 
-from oracles import legacy_run, legacy_step, reference_forcing
+from oracles import inplace_step, legacy_run, legacy_step, reference_forcing
 
 
 def diffusion_config(**kw):
@@ -150,17 +150,20 @@ class TestRun:
         assert abs(out.final_state.u.mean()) < 1e-9
 
 
+REFERENCE_RUNS = pytest.mark.parametrize("config", [
+    SolverConfig(n_grid=256, dt=1e-4, nu=3e-3, forcing_amplitude=6.0, seed=5,
+                 n_steps=2000, probe_index=17, snapshot_stride=700),
+    SolverConfig(n_grid=1024, dt=1e-4, nu=3e-3, forcing_amplitude=6.0, seed=1,
+                 n_steps=2000),
+    SolverConfig(n_grid=256, dt=1e-3, nu=0.05, forcing_amplitude=4.0, seed=2,
+                 equation="diffusion", n_steps=2000, snapshot_stride=500),
+], ids=["burgers-256", "burgers-1024", "diffusion-256"])
+
+
 class TestAgainstLegacy:
     """The spectral-state step against the physical-space step it replaced."""
 
-    @pytest.mark.parametrize("config", [
-        SolverConfig(n_grid=256, dt=1e-4, nu=3e-3, forcing_amplitude=6.0, seed=5,
-                     n_steps=2000, probe_index=17, snapshot_stride=700),
-        SolverConfig(n_grid=1024, dt=1e-4, nu=3e-3, forcing_amplitude=6.0, seed=1,
-                     n_steps=2000),
-        SolverConfig(n_grid=256, dt=1e-3, nu=0.05, forcing_amplitude=4.0, seed=2,
-                     equation="diffusion", n_steps=2000, snapshot_stride=500),
-    ], ids=["burgers-256", "burgers-1024", "diffusion-256"])
+    @REFERENCE_RUNS
     def test_run(self, config):
         out = run(config)
         probe, snapshots, final = legacy_run(config)
@@ -221,6 +224,35 @@ class TestAgainstLegacy:
                                 lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
         step(state, config)
         assert len(calls) == ffts
+
+
+class TestAgainstInplaceStep:
+    """The plain RK4 step against the in-place one it replaced, bit for bit."""
+
+    @REFERENCE_RUNS
+    def test_run_byte_equal(self, config):
+        out = run(config)
+        probe, snapshots, final = legacy_run(config, inplace_step)
+        assert out.probe_series.values.tobytes() == probe.tobytes()
+        assert [s for s, _ in out.snapshots] == [s for s, _ in snapshots]
+        for (_, got), (_, want) in zip(out.snapshots, snapshots):
+            assert got.tobytes() == want.tobytes()
+        assert (out.final_state.step, out.final_state.time) == (final.step, final.time)
+        assert out.final_state.u.tobytes() == final.u.tobytes()
+        assert out.final_state.uh.tobytes() == final.uh.tobytes()
+
+    @pytest.mark.parametrize("equation", ["burgers", "diffusion"])
+    def test_bare_state_mid_block_byte_equal(self, equation):
+        # a bare state at step 100 (row 36 of block 1), carried across the seam at 128
+        config = SolverConfig(n_grid=128, dt=1e-3, nu=0.02, forcing_amplitude=3.0,
+                              equation=equation, seed=4, n_steps=10)
+        u = np.random.default_rng(6).normal(size=128)
+        got = want = FieldState(u=u, time=0.37, step=100)
+        for _ in range(40):
+            got, want = step(got, config), inplace_step(want, config)
+            assert got.u.tobytes() == want.u.tobytes()
+            assert got.uh.tobytes() == want.uh.tobytes()
+        assert (got.step, got.time) == (want.step, want.time)
 
 
 class PerStepForcing:
