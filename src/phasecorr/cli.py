@@ -25,7 +25,6 @@ from .io import (
     read_series_csv,
     save_array,
     save_grid,
-    write_heatmap_csv,
     write_series_csv,
     write_snapshot_csv,
 )
@@ -44,7 +43,6 @@ from .synthetic import (
 GRID_FILE = "bispectrum.npz"
 # what analyze writes besides its manifest, and report reads or references
 ANALYSIS_FILES = ("raw_series.npy", "spectrum.npy", GRID_FILE, "hotspots.txt")
-HEATMAP_FILE = "heatmap.csv"
 
 
 def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
@@ -285,12 +283,12 @@ def cmd_analyze(ctx, input_path, ohlc, price_field, transform, segments, segment
     click.echo(hotspots.verdict.value)
 
 
-# (panel, file, plot kind, rendered image): the heatmap is derived from the grid
-# into the report bundle, and the other panels are analysis files it references
+# (panel, analysis file, plot kind, rendered image): the heatmap panel is the
+# grid, whose dense b^2 map is ``load_grid(file).dense()``
 REPORT_PANELS = (
     ("raw", "raw_series.npy", "line", "raw.png"),
     ("spectrum", "spectrum.npy", "loglog", "spectrum.png"),
-    ("bicoherence_heatmap", HEATMAP_FILE, "heatmap", "heatmap.png"),
+    ("bicoherence_heatmap", GRID_FILE, "heatmap", "heatmap.png"),
 )
 
 
@@ -303,8 +301,8 @@ REPORT_PANELS = (
 def cmd_report(ctx, analysis_dir, out, render):
     """Assemble the three-panel data bundle from a completed analyze run.
 
-    The bundle holds the heatmap and refers to the other panels and the
-    verdict by paths relative to itself, so the analysis must stay put.
+    The bundle refers to the panels and the verdict by paths relative to
+    itself, so the analysis must stay put.
     """
     src = Path(analysis_dir)
     src_real, out_real = src.resolve(), Path(out).resolve()
@@ -323,18 +321,13 @@ def cmd_report(ctx, analysis_dir, out, render):
         click.echo(f"input error: {exc}", err=True)
         sys.exit(2)
     out_dir = _prepare_out(out)
-    write_heatmap_csv(out_dir / HEATMAP_FILE, grid)
-
-    def ref(name: str) -> str:
-        return name if name == HEATMAP_FILE else os.path.relpath(src_real / name, out_real)
-
     index = {
-        "panels": [{"name": panel, "file": ref(name), "kind": kind}
-                   for panel, name, kind, _ in REPORT_PANELS],
-        "verdict_file": ref("hotspots.txt"),
+        "panels": [{"name": panel, "file": os.path.relpath(src_real / name, out_real),
+                    "kind": kind} for panel, name, kind, _ in REPORT_PANELS],
+        "verdict_file": os.path.relpath(src_real / "hotspots.txt", out_real),
     }
     (out_dir / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
-    outputs = [HEATMAP_FILE, "index.json"]
+    outputs = ["index.json"]
     if render:
         outputs.extend(_render_panels(src, out_dir, grid))
     _write_manifest(out_dir, "report", ctx.params, [str(src / n) for n in ANALYSIS_FILES],

@@ -87,6 +87,11 @@ class BispectrumGrid:
     offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if np.ndim(self.values) != 1 or np.ndim(self.norm) != 1:
+            raise ValueError(f"values and norm must be 1-D, got shapes "
+                             f"{np.shape(self.values)} and {np.shape(self.norm)}")
+        if self.segments_averaged < 1:
+            raise ValueError(f"segments_averaged must be >= 1, got {self.segments_averaged}")
         self.half = self.segment_length // 2
         n = len(self.values)
         # h + 1 rows hold more than h bins: the size is worked out only where it can fit
@@ -123,18 +128,17 @@ class BispectrumGrid:
         one = slice(i, i + 1)  # numpy's scalar abs and ** can round unlike its array kernels
         return float(_b2(self.values[one], self.norm[one])[0])
 
-    def _dense_rows(self):
-        """For each row k1 of the symmetric map, the flat indices of its columns 0..half-k1,
-        the rest being outside the domain: its principal row, then column k1 mirrored."""
-        off, n = self.offsets, self.half + 1
-        for k1 in range(n):
-            yield np.concatenate((np.arange(off[k1], off[k1 + 1]), off[k1 + 1:n - k1] + k1))
-
     def dense(self) -> np.ndarray:
-        """Symmetric (half+1, half+1) bicoherence map, zero outside the domain."""
+        """Symmetric (half+1, half+1) bicoherence map, zero outside the domain.
+
+        Row k1 holds columns 0..half-k1, the rest being outside the domain: its
+        principal row, then column k1 of the rows below it mirrored.
+        """
         b2 = bicoherence(self)
-        out = np.zeros((self.half + 1, self.half + 1))
-        for k1, j in enumerate(self._dense_rows()):
+        off, n = self.offsets, self.half + 1
+        out = np.zeros((n, n))
+        for k1 in range(n):
+            j = np.concatenate((np.arange(off[k1], off[k1 + 1]), off[k1 + 1:n - k1] + k1))
             out[k1, : len(j)] = b2[j]
         return out
 

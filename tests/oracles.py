@@ -6,11 +6,9 @@ principal-domain (k1, k2) layout a literal double loop.
 The OHLCV oracle is the row-at-a-time loader the columnar one replaced,
 the solver oracles the physical-space RK4 step that the spectral-state
 one replaced, the in-place RK4 stages that the plain expressions replaced
-and the per-step forcing that the time-blocked one replaced,
-the heatmap oracle the dense-map writer that formats every cell with
-``format`` that the once-per-value one replaced, and the triple-product
-oracle the segment-major row loop with two normalizer arrays that the
-segment-inner loop with one normalizer product replaced.
+and the per-step forcing that the time-blocked one replaced, and the
+triple-product oracle the segment-major row loop with two normalizer
+arrays that the segment-inner loop with one normalizer product replaced.
 """
 
 import numpy as np
@@ -151,22 +149,6 @@ def legacy_load_ohlc_csv(path, schema=None):
     counts["n_records_out"] = len(records)
     counts["sessions_detected"] = counts["n_gaps"] + 1
     return records, counts
-
-
-def legacy_write_heatmap_csv(path, grid):
-    """Dense bicoherence matrix (rows k1, cols k2), symmetric fold applied."""
-    from phasecorr.spectral import bicoherence
-
-    k1, k2 = domain_pairs(grid.half)
-    dense = np.zeros((grid.half + 1, grid.half + 1))
-    dense[k1, k2] = dense[k2, k1] = bicoherence(grid)
-    with open(path, "w") as fh:
-        header = ",".join(["k1\\k2"] + [str(k) for k in range(grid.half + 1)])
-        fh.write(header + "\n")
-        for k1, row in enumerate(dense):
-            # cells with k1 + k2 > half lie outside the domain: exactly 0, printed "0"
-            inside = row[: grid.half + 1 - k1].tolist()
-            fh.write(f"{k1}," + ",".join(map("{:.6g}".format, inside)) + ",0" * k1 + "\n")
 
 
 def reference_forcing(seed, n_grid, amplitude, step):

@@ -480,6 +480,21 @@ class TestReport:
         assert "input error:" in res.output and "norm" in res.output
         assert not rep.exists()
 
+    @pytest.mark.parametrize("field", ["values", "norm", "segments_averaged"])
+    def test_bad_grid_exit_2(self, runner, tmp_path, field):
+        # a 2-D values or norm array, or a grid averaged over no segments
+        an = self.completed_analysis(runner, tmp_path)
+        g = load_grid(an / "bispectrum.npz")
+        fields = {name: getattr(g, name) for name in
+                  ("values", "norm", "segments_averaged", "segment_length")}
+        fields[field] = 0 if field == "segments_averaged" else fields[field][:, None]
+        np.savez(an / "bispectrum.npz", **fields)
+        rep = tmp_path / "rep"
+        res = runner.invoke(main, ["report", str(an), "--out", str(rep)])
+        assert res.exit_code == 2
+        assert "input error:" in res.output and field in res.output
+        assert not rep.exists()
+
     @pytest.mark.parametrize("spelling", [".", "../an"], ids=["same", "respelled"])
     def test_out_is_analysis_dir_exit_2(self, runner, tmp_path, spelling):
         an = self.completed_analysis(runner, tmp_path)
@@ -497,7 +512,7 @@ class TestReport:
         assert res.exit_code == 0
         assert "matplotlib unavailable; skipping rendering" in res.output
         outputs = json.loads((rep / "manifest.json").read_text())["outputs"]
-        assert outputs == ["heatmap.csv", "index.json"]
+        assert outputs == ["index.json"]
         assert not list(rep.glob("*.png"))
 
     def test_render_writes_pngs(self, runner, tmp_path):
@@ -508,7 +523,7 @@ class TestReport:
         assert res.exit_code == 0
         pngs = ["heatmap.png", "raw.png", "spectrum.png"]
         outputs = json.loads((rep / "manifest.json").read_text())["outputs"]
-        assert outputs == sorted(["heatmap.csv", "index.json"] + pngs)
+        assert outputs == sorted(["index.json"] + pngs)
         for name in pngs:
             assert (rep / name).read_bytes().startswith(b"\x89PNG\r\n\x1a\n")
 
@@ -584,16 +599,7 @@ class TestReport:
             ("close", 3, [], {}),
         ]
         outputs = json.loads((rep / "manifest.json").read_text())["outputs"]
-        assert outputs == ["heatmap.csv", "heatmap.png", "index.json", "raw.png", "spectrum.png"]
-
-    def test_report_heatmap_from_grid(self, runner, tmp_path):
-        an = self.completed_analysis(runner, tmp_path)
-        rep = tmp_path / "rep"
-        assert run_cli(runner, ["report", str(an), "--out", str(rep)]).exit_code == 0
-        heat = np.loadtxt(rep / "heatmap.csv", delimiter=",", skiprows=1)
-        dense = load_grid(an / "bispectrum.npz").dense()
-        assert np.array_equal(heat[:, 0], np.arange(len(dense)))
-        assert np.allclose(heat[:, 1:], dense, rtol=1e-5, atol=0.0)
+        assert outputs == ["heatmap.png", "index.json", "raw.png", "spectrum.png"]
 
     def test_report_deterministic(self, runner, tmp_path):
         an = self.completed_analysis(runner, tmp_path)
@@ -601,7 +607,7 @@ class TestReport:
         run_cli(runner, ["report", str(an), "--out", str(r1)])
         run_cli(runner, ["report", str(an), "--out", str(r2)])
         written = sorted(f.name for f in r1.iterdir())
-        assert written == ["heatmap.csv", "index.json", "manifest.json"]
+        assert written == ["index.json", "manifest.json"]
         for name in written:
             assert (r1 / name).read_bytes() == (r2 / name).read_bytes()
         # every entry resolves, from the report directory, to the file it names
@@ -609,7 +615,7 @@ class TestReport:
         files = {p["name"]: p["file"] for p in index["panels"]}
         files["verdict"] = index["verdict_file"]
         expected = {"raw": an / "raw_series.npy", "spectrum": an / "spectrum.npy",
-                    "bicoherence_heatmap": r1 / "heatmap.csv", "verdict": an / "hotspots.txt"}
+                    "bicoherence_heatmap": an / "bispectrum.npz", "verdict": an / "hotspots.txt"}
         assert {k: (r1 / f).resolve() for k, f in files.items()} == {
             k: f.resolve() for k, f in expected.items()}
 

@@ -203,11 +203,14 @@ class TestDomainLayout:
             with pytest.raises(IndexError):
                 g.bicoherence_at(a, b)
 
-    def test_dense_map(self):
-        g = segmented_bispectrum(seeded_series(6, 2048), 128)
+    @pytest.mark.parametrize("window", ["rectangular", "hann"])
+    @pytest.mark.parametrize("segment_length", [8, 128, 1024])
+    def test_dense_map(self, segment_length, window):
+        g = segmented_bispectrum(seeded_series(6, 16 * segment_length), segment_length,
+                                 window=window)
         d = g.dense()
         b2 = bicoherence(g)
-        assert d.shape == (65, 65)
+        assert d.shape == (g.half + 1, g.half + 1)
         assert np.array_equal(d, d.T)
         k1, k2 = domain_pairs(g.half)
         assert np.array_equal(d[k1, k2], b2)
