@@ -26,11 +26,10 @@ from .io import (
     save_array,
     save_grid,
     write_series_csv,
-    write_snapshot_csv,
 )
 from .market import build_series, load_ohlc_csv
-from .simulator import SolverConfig, run as run_simulation, spatial_energy_spectrum
-from .spectral import BispectrumGrid, analyze, dft_forward, power_spectrum
+from .simulator import SolverConfig, run as run_simulation
+from .spectral import BispectrumGrid, analyze, power_spectrum
 from .spectral import _check_overlap, _check_segment_length, _check_threshold
 from .synthetic import (
     NoiseSpec,
@@ -42,7 +41,7 @@ from .synthetic import (
 
 GRID_FILE = "bispectrum.npz"
 # what analyze writes besides its manifest, and report reads or references
-ANALYSIS_FILES = ("raw_series.npy", "spectrum.npy", GRID_FILE, "hotspots.txt")
+ANALYSIS_FILES = ("raw_series.npy", GRID_FILE, "hotspots.txt")
 
 
 def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
@@ -203,7 +202,7 @@ def cmd_generate_noise(ctx, kind, n, amplitude, seed, out):
 @click.pass_context
 def cmd_simulate(ctx, equation, n, length, dt, nu, forcing, steps, probe_index,
                  snapshot_stride, seed, out):
-    """Run the forced 1-D solver and write probe, snapshot and spectrum files."""
+    """Run the forced 1-D solver and write the probe series and field snapshots."""
     try:
         config = SolverConfig(
             n_grid=n, length=length, dt=dt, nu=nu, forcing_amplitude=forcing,
@@ -218,12 +217,11 @@ def cmd_simulate(ctx, equation, n, length, dt, nu, forcing, steps, probe_index,
     except (BlowUp, CflViolation) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(3)
-    outputs = ["probe.csv", "spectrum.npy"]
+    outputs = ["probe.csv"]
     write_series_csv(out_dir / "probe.csv", result.probe_series)
-    save_array(out_dir / "spectrum.npy", spatial_energy_spectrum(result.final_state))
     for step_no, u in result.snapshots:
-        name = f"snap_{step_no:08d}.csv"
-        write_snapshot_csv(out_dir / name, u, config.length)
+        name = f"snap_{step_no:08d}.npy"
+        save_array(out_dir / name, u)
         outputs.append(name)
     _write_manifest(out_dir, f"simulate {equation}", ctx.params, [], outputs)
     click.echo(f"completed {config.n_steps} steps; outputs in {out_dir}")
@@ -276,18 +274,18 @@ def cmd_analyze(ctx, input_path, ohlc, price_field, transform, segments, segment
 
     out_dir = _prepare_out(out)
     save_array(out_dir / "raw_series.npy", series.values)
-    save_array(out_dir / "spectrum.npy", power_spectrum(dft_forward(series)))
     save_grid(out_dir / GRID_FILE, grid)
     (out_dir / "hotspots.txt").write_text(format_hotspot_report(hotspots))
     _write_manifest(out_dir, "analyze", ctx.params, [input_path], list(ANALYSIS_FILES))
     click.echo(hotspots.verdict.value)
 
 
-# (panel, analysis file, plot kind, rendered image): the heatmap panel is the
-# grid, whose dense b^2 map is ``load_grid(file).dense()``
+# (panel, analysis file, plot kind, rendered image): the spectrum panel is the
+# series, whose power is ``power_spectrum(np.fft.fft(np.load(file)))``, and the
+# heatmap panel is the grid, whose dense b^2 map is ``load_grid(file).dense()``
 REPORT_PANELS = (
     ("raw", "raw_series.npy", "line", "raw.png"),
-    ("spectrum", "spectrum.npy", "loglog", "spectrum.png"),
+    ("spectrum", "raw_series.npy", "power_spectrum", "spectrum.png"),
     ("bicoherence_heatmap", GRID_FILE, "heatmap", "heatmap.png"),
 )
 
@@ -313,9 +311,7 @@ def cmd_report(ctx, analysis_dir, out, render):
             click.echo(f"missing input file: {src / name}", err=True)
             sys.exit(2)
     try:
-        for name in ANALYSIS_FILES:
-            if name.endswith(".npy"):
-                check_array(src / name)
+        check_array(src / "raw_series.npy")
         grid = load_grid(src / GRID_FILE)
     except PhasecorrError as exc:
         click.echo(f"input error: {exc}", err=True)
@@ -349,8 +345,8 @@ def _render_panels(src: Path, out_dir: Path, grid: BispectrumGrid) -> list[str]:
         if kind == "line":
             ax.plot(np.load(src / name, allow_pickle=False), lw=0.5)
             ax.set_xlabel("t"); ax.set_ylabel("value")
-        elif kind == "loglog":
-            power = np.load(src / name, allow_pickle=False)
+        elif kind == "power_spectrum":
+            power = power_spectrum(np.fft.fft(np.load(src / name, allow_pickle=False)))
             nz = np.flatnonzero(power > 0)
             ax.loglog(nz, power[nz], lw=0.5)
             ax.set_xlabel("bin"); ax.set_ylabel("power")

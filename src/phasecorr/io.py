@@ -1,5 +1,5 @@
-"""Canonical on-disk formats: series and solver-snapshot CSVs, ``.npy``
-arrays, the binary bispectrum grid and the plain-text hotspot report."""
+"""Canonical on-disk formats: the ``t,value`` series CSV, ``.npy`` arrays, the
+binary bispectrum grid and the plain-text hotspot report."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ __all__ = [
     "read_series_csv",
     "save_array",
     "check_array",
-    "write_snapshot_csv",
     "save_grid",
     "load_grid",
     "format_hotspot_report",
@@ -61,8 +60,8 @@ def save_array(path: str | Path, values: np.ndarray) -> None:
 
 
 def check_array(path: str | Path) -> None:
-    """Raise ``FileUnreadable`` unless ``path`` is a 1-D float64 ``.npy`` file, as
-    ``save_array`` writes one; only the header is read."""
+    """Raise ``FileUnreadable`` unless ``path`` is a 1-D float64 ``.npy`` file of
+    at least 2 samples, as ``save_array`` writes a series; only the header is read."""
     try:
         array = np.load(path, mmap_mode="r", allow_pickle=False)
     except (OSError, EOFError, ValueError) as exc:
@@ -73,16 +72,8 @@ def check_array(path: str | Path) -> None:
     if array.ndim != 1 or array.dtype != np.float64:
         raise FileUnreadable(f"{path} holds a {array.ndim}-D {array.dtype} array, "
                              "not a 1-D float64 one")
-
-
-def write_snapshot_csv(path: str | Path, u: np.ndarray, length: float) -> None:
-    """One ``x,u`` row per grid point x_j = j * length / n of a periodic field."""
-    n = len(u)
-    x = np.arange(n) * (length / n)
-    with open(path, "w") as fh:
-        fh.write("x,u\n")
-        for xi, ui in zip(x.tolist(), np.asarray(u, dtype=float).tolist()):
-            fh.write(f"{xi!r},{ui!r}\n")
+    if len(array) < 2:
+        raise FileUnreadable(f"{path} holds {len(array)} samples, need at least 2")
 
 
 def save_grid(path: str | Path, grid: BispectrumGrid) -> None:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from phasecorr import analyze, build_series, dft_forward, load_ohlc_csv, power_spectrum
+from phasecorr import SolverConfig, analyze, build_series, load_ohlc_csv, power_spectrum
+from phasecorr import run as run_simulation
 from phasecorr.cli import main
 from phasecorr.io import format_hotspot_report, load_grid, read_series_csv, save_grid
 
@@ -177,8 +178,8 @@ class TestSimulate:
         assert res.exit_code == 0
         probe = read_series_csv(out / "probe.csv")
         assert len(probe) == 1000
-        assert (out / "spectrum.npy").exists()
-        assert (out / "snap_00001000.csv").exists()
+        assert not (out / "spectrum.npy").exists()
+        assert (out / "snap_00001000.npy").exists()
 
     def test_cfl_exit_code_3(self, runner, tmp_path):
         res = runner.invoke(main, [
@@ -206,8 +207,14 @@ class TestSimulate:
             "--steps", "25", "--snapshot-stride", str(stride), "--out", str(out),
         ])
         assert res.exit_code == 0
-        assert sorted(p.name for p in out.glob("snap_*.csv")) == \
-               [f"snap_{s:08d}.csv" for s in steps]
+        assert sorted(p.name for p in out.glob("snap_*")) == \
+               [f"snap_{s:08d}.npy" for s in steps]
+        # each file holds the run's field u at that step, bit for bit
+        config = SolverConfig(n_grid=32, forcing_amplitude=0, nu=1, equation="diffusion",
+                              n_steps=25, snapshot_stride=stride)
+        for step_no, u in run_simulation(config).snapshots:
+            saved = np.load(out / f"snap_{step_no:08d}.npy", allow_pickle=False)
+            assert saved.dtype == np.float64 and saved.tobytes() == u.tobytes()
 
     @pytest.mark.parametrize("flags", [
         ["--steps", "0"],
@@ -266,8 +273,7 @@ class TestAnalyze:
         res = run_cli(runner, ["analyze", str(csv), "--segments", "32", "--out", str(out)])
         assert res.exit_code == 0
         assert res.output.strip().endswith("PhaseCorrelated")
-        for name in ("raw_series.npy", "spectrum.npy", "bispectrum.npz",
-                     "hotspots.txt", "manifest.json"):
+        for name in ("raw_series.npy", "bispectrum.npz", "hotspots.txt", "manifest.json"):
             assert (out / name).exists()
         report = (out / "hotspots.txt").read_text()
         ka = round(0.22 * 1024 / (2 * np.pi))
@@ -405,12 +411,10 @@ class TestAnalyze:
         for out in (tmp_path / "a", tmp_path / "b"):
             res = run_cli(runner, ["analyze", str(path), "--out", str(out)] + flags)
             assert res.exit_code == 0
-            runs.append({n: (out / n).read_bytes() for n in ("raw_series.npy", "spectrum.npy")})
+            runs.append((out / "raw_series.npy").read_bytes())
         assert runs[0] == runs[1]
         raw = np.load(tmp_path / "a" / "raw_series.npy", allow_pickle=False)
         assert raw.dtype == np.float64 and raw.tobytes() == series.values.tobytes()
-        power = np.load(tmp_path / "a" / "spectrum.npy", allow_pickle=False)
-        assert power.tobytes() == power_spectrum(dft_forward(series)).tobytes()
 
     def test_ohlc_input(self, runner, tmp_path):
         path = write_ohlc_csv(tmp_path)
@@ -438,7 +442,7 @@ class TestReport:
         assert len(index["panels"]) == 3
 
     @pytest.mark.parametrize(
-        "name", ["raw_series.npy", "spectrum.npy", "bispectrum.npz", "hotspots.txt"])
+        "name", ["raw_series.npy", "bispectrum.npz", "hotspots.txt"])
     def test_missing_input_exit_2(self, runner, tmp_path, name):
         an = self.completed_analysis(runner, tmp_path)
         (an / name).unlink()
@@ -448,8 +452,9 @@ class TestReport:
         assert name in res.output
         assert not rep.exists()
 
-    @pytest.mark.parametrize("content", ["junk", "pickled", "2-d", "npz"])
-    @pytest.mark.parametrize("name", ["raw_series.npy", "spectrum.npy"])
+    @pytest.mark.parametrize("content",
+                             ["junk", "pickled", "2-d", "npz", "empty", "one-sample"])
+    @pytest.mark.parametrize("name", ["raw_series.npy"])
     def test_bad_panel_exit_2(self, runner, tmp_path, name, content):
         an = self.completed_analysis(runner, tmp_path)
         if content == "junk":
@@ -458,6 +463,10 @@ class TestReport:
             np.save(an / name, np.array([{"a": 1}, None], dtype=object), allow_pickle=True)
         elif content == "2-d":
             np.save(an / name, np.zeros((4, 3)))
+        elif content == "empty":
+            np.save(an / name, np.zeros(0))
+        elif content == "one-sample":
+            np.save(an / name, np.zeros(1))
         else:
             with open(an / name, "wb") as fh:
                 np.savez(fh, values=np.zeros(4))
@@ -572,7 +581,7 @@ class TestReport:
         res = run_cli(runner, ["report", str(an), "--out", str(rep), "--render"])
         assert res.exit_code == 0
         raw = np.load(an / "raw_series.npy")
-        power = np.load(an / "spectrum.npy")
+        power = power_spectrum(np.fft.fft(raw))
         nz = np.flatnonzero(power > 0)
         dense = load_grid(an / "bispectrum.npz").dense()
         meta = {"metadata": {"Software": ""}}
@@ -614,7 +623,7 @@ class TestReport:
         index = json.loads((r1 / "index.json").read_text())
         files = {p["name"]: p["file"] for p in index["panels"]}
         files["verdict"] = index["verdict_file"]
-        expected = {"raw": an / "raw_series.npy", "spectrum": an / "spectrum.npy",
+        expected = {"raw": an / "raw_series.npy", "spectrum": an / "raw_series.npy",
                     "bicoherence_heatmap": an / "bispectrum.npz", "verdict": an / "hotspots.txt"}
         assert {k: (r1 / f).resolve() for k, f in files.items()} == {
             k: f.resolve() for k, f in expected.items()}

@@ -1,4 +1,3 @@
-import math
 import re
 import zipfile
 
@@ -8,12 +7,12 @@ import pytest
 from phasecorr import BispectrumGrid, TimeSeries, bicoherence, segmented_bispectrum
 from phasecorr.errors import FileUnreadable
 from phasecorr.io import (
+    check_array,
     load_grid,
     read_series_csv,
     save_array,
     save_grid,
     write_series_csv,
-    write_snapshot_csv,
 )
 
 from oracles import domain_pairs
@@ -90,13 +89,12 @@ def test_array_npy_round_trip_bit_exact(tmp_path):
     assert back.dtype == np.float64 and back.tobytes() == v.tobytes()
 
 
-@pytest.mark.parametrize("length", [2.0 * math.pi, 1.0, 7.3])
-def test_snapshot_bytes_match_row_format(tmp_path, length):
-    u = awkward_values(1024)
-    write_snapshot_csv(tmp_path / "s.csv", u, length)
-    x = np.arange(len(u)) * (length / len(u))
-    want = "x,u\n" + "".join(f"{float(xi)!r},{float(ui)!r}\n" for xi, ui in zip(x, u))
-    assert (tmp_path / "s.csv").read_text() == want
+@pytest.mark.parametrize("n", [0, 1])
+def test_check_array_needs_two_samples(tmp_path, n):
+    # the rule of TimeSeries, read from the header alone
+    save_array(tmp_path / "a.npy", np.zeros(n))
+    with pytest.raises(FileUnreadable, match=f"holds {n} samples"):
+        check_array(tmp_path / "a.npy")
 
 
 def small_grid():
