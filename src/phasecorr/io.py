@@ -61,7 +61,7 @@ def save_array(path: str | Path, values: np.ndarray) -> None:
 
 def check_array(path: str | Path) -> None:
     """Raise ``FileUnreadable`` unless ``path`` is a 1-D float64 ``.npy`` file of
-    at least 2 samples, as ``save_array`` writes a series; only the header is read."""
+    at least 2 finite samples, as ``save_array`` writes a series."""
     try:
         array = np.load(path, mmap_mode="r", allow_pickle=False)
     except (OSError, EOFError, ValueError) as exc:
@@ -74,6 +74,8 @@ def check_array(path: str | Path) -> None:
                              "not a 1-D float64 one")
     if len(array) < 2:
         raise FileUnreadable(f"{path} holds {len(array)} samples, need at least 2")
+    if not np.isfinite(array).all():
+        raise FileUnreadable(f"{path} holds samples that are not finite")
 
 
 def save_grid(path: str | Path, grid: BispectrumGrid) -> None:

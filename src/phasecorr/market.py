@@ -14,7 +14,7 @@ import gc
 import math
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import islice, zip_longest
+from itertools import compress, islice, zip_longest
 from pathlib import Path
 from typing import Sequence
 
@@ -86,60 +86,45 @@ def _parse_timestamp(text: str) -> datetime | None:
     return None
 
 
+def _parse_column(cells: Sequence[str], dtype, missing) -> np.ndarray:
+    """Each cell as numpy's setitem parses it into ``dtype``; ``missing`` where
+    that fails.  The whole column is parsed in one call, and cell by cell only
+    if numpy rejects it."""
+    try:
+        return np.fromiter(cells, dtype, len(cells))
+    except ValueError:
+        out = np.empty(len(cells), dtype)
+        for i, cell in enumerate(cells):
+            try:
+                out[i] = cell
+            except ValueError:
+                out[i] = missing
+        return out
+
+
 def _parse_timestamps(cells: Sequence[str]) -> np.ndarray:
     """datetime64[s] of each cell, NaT where ``_parse_timestamp`` gives None.
 
     Cells in the exact ``YYYY-MM-DD HH:MM`` or ``YYYY-MM-DD HH:MM:SS`` layout
-    with every field in range are read by digit arithmetic; any other cell
-    goes through ``_parse_timestamp``, so forms such as ``2020-1-6 9:17``
-    give what ``strptime`` gives.
+    with a year after 0 are parsed by numpy, which for this layout accepts
+    and rejects the field values ``strptime`` does; any other cell goes
+    through ``_parse_timestamp``, so forms such as ``2020-1-6 9:17`` give
+    what ``strptime`` gives.
     """
     n = len(cells)
     length = np.fromiter(map(len, cells), np.intp, n)
     chars = np.array(cells, dtype="U19").view(np.int32).reshape(n, 19)
-    d = chars - ord("0")
-    is_digit = (d >= 0) & (d <= 9)
+    is_digit = (chars >= ord("0")) & (chars <= ord("9"))
     ok = ((length == 16) | (length == 19)) & is_digit[:, _TS_DIGITS].all(axis=1)
     for pos, sep in _TS_SEPARATORS.items():
         ok &= chars[:, pos] == ord(sep)
-    has_s = length == 19
-    ok &= ~has_s | ((chars[:, 16] == ord(":")) & is_digit[:, 17] & is_digit[:, 18])
-
-    def field(a: int, b: int) -> np.ndarray:
-        out = np.zeros(n, np.int64)
-        for i in range(a, b):
-            out = out * 10 + d[:, i]
-        return out
-
-    year, month, day = field(0, 4), field(5, 7), field(8, 10)
-    hour, minute = field(11, 13), field(14, 16)
-    second = np.where(has_s, field(17, 19), 0)
-    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-    ok &= (hour <= 23) & (minute <= 59) & (second <= 59)
-    months = np.where(ok, (year - 1970) * 12 + month - 1, 0).astype("datetime64[M]")
-    first = months.astype("datetime64[D]")
-    ok &= day <= ((months + 1).astype("datetime64[D]") - first).astype(np.int64)
-    clock = (day - 1) * 86400 + hour * 3600 + minute * 60 + second
-    ts = first.astype("datetime64[s]") + clock.astype("timedelta64[s]")
+    ok &= (length == 16) | ((chars[:, 16] == ord(":")) & is_digit[:, 17] & is_digit[:, 18])
+    ok &= (chars[:, :4] != ord("0")).any(axis=1)  # numpy reads year 0, strptime does not
+    ts = np.empty(n, "datetime64[s]")
+    ts[ok] = _parse_column(list(compress(cells, ok)), "datetime64[s]", "NaT")
     for i in np.flatnonzero(~ok).tolist():
-        parsed = _parse_timestamp(cells[i])
-        ts[i] = np.datetime64("NaT") if parsed is None else np.datetime64(parsed, "s")
+        ts[i] = _parse_timestamp(cells[i]) or "NaT"
     return ts
-
-
-def _to_float(cell: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        return math.nan
-
-
-def _parse_floats(cells: Sequence[str]) -> np.ndarray:
-    """``float`` of each cell; NaN (an invalid row) where ``float`` raises."""
-    try:
-        return np.fromiter(map(float, cells), np.float64, len(cells))
-    except ValueError:
-        return np.fromiter(map(_to_float, cells), np.float64, len(cells))
 
 
 def _valid_prices(o, h, l, c, v) -> np.ndarray:
@@ -206,7 +191,7 @@ def load_ohlc_csv(
                 del rows
                 cols += [("",) * len(cols[0])] * (width - len(cols))
                 ts = _parse_timestamps(cols[ts_col])
-                prices = [_parse_floats(cols[i]) for i in price_cols]
+                prices = [_parse_column(cols[i], np.float64, math.nan) for i in price_cols]
                 del cols
                 valid = ~np.isnat(ts) & _valid_prices(*prices)
                 chunks.append((ts[valid].view(np.int64), *(p[valid] for p in prices)))

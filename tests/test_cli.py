@@ -226,8 +226,11 @@ class TestSimulate:
         ["--forcing", "nan"],
         ["--dt", "inf"],
         ["--seed", "-1"],
+        ["--n", "100"],
+        ["--probe-index", "4096"],
     ], ids=["steps-zero", "steps-negative", "stride-negative", "length-zero",
-            "length-negative", "nu-nan", "forcing-nan", "dt-inf", "seed-negative"])
+            "length-negative", "nu-nan", "forcing-nan", "dt-inf", "seed-negative",
+            "n-not-power-of-two", "probe-index-out-of-range"])
     def test_bad_value_exit_2(self, runner, tmp_path, flags):
         out = tmp_path / "sim"
         res = runner.invoke(main, [
@@ -453,7 +456,8 @@ class TestReport:
         assert not rep.exists()
 
     @pytest.mark.parametrize("content",
-                             ["junk", "pickled", "2-d", "npz", "empty", "one-sample"])
+                             ["junk", "pickled", "2-d", "npz", "empty", "one-sample", "nan",
+                              "inf"])
     @pytest.mark.parametrize("name", ["raw_series.npy"])
     def test_bad_panel_exit_2(self, runner, tmp_path, name, content):
         an = self.completed_analysis(runner, tmp_path)
@@ -467,6 +471,10 @@ class TestReport:
             np.save(an / name, np.zeros(0))
         elif content == "one-sample":
             np.save(an / name, np.zeros(1))
+        elif content in ("nan", "inf"):
+            raw = np.load(an / name)
+            raw[len(raw) // 2] = float(content)
+            np.save(an / name, raw)
         else:
             with open(an / name, "wb") as fh:
                 np.savez(fh, values=np.zeros(4))

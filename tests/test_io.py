@@ -97,6 +97,16 @@ def test_check_array_needs_two_samples(tmp_path, n):
         check_array(tmp_path / "a.npy")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_array_needs_finite_samples(tmp_path, bad):
+    # the rule of TimeSeries, read from the samples
+    v = np.zeros(8)
+    v[5] = bad
+    save_array(tmp_path / "a.npy", v)
+    with pytest.raises(FileUnreadable, match="not finite"):
+        check_array(tmp_path / "a.npy")
+
+
 def small_grid():
     return segmented_bispectrum(TimeSeries(np.random.default_rng(9).normal(size=4096)), 128,
                                 window="hann")

@@ -184,6 +184,13 @@ class TestBuildSeries:
         with pytest.raises(LengthTooShort):
             build_series(ticks, transform="log_return")
 
+    @pytest.mark.parametrize("kw, match", [
+        ({"price_field": "high"}, "price_field"), ({"transform": "diff"}, "transform")])
+    def test_unknown_option_rejected(self, tmp_path, kw, match):
+        ticks = self.fixture_ticks(tmp_path, [100, 101, 100.5])
+        with pytest.raises(ValueError, match=match):
+            build_series(ticks, **kw)
+
 
 def triad_ohlc_fixture(tmp_path, coupled, name):
     spec = TriadSpec(
@@ -385,12 +392,40 @@ class TestColumnarMatchesLegacy:
         path.write_text(path.read_text().replace("datetime,", "Date,", 1))
         assert_matches_legacy(path, schema={"datetime": "Date"})
 
-    def test_timestamp_fast_path_matches_strptime(self):
+    @pytest.mark.parametrize("in_range_only", [True, False], ids=["bulk", "mixed"])
+    def test_timestamp_fast_path_matches_strptime(self, in_range_only):
         cells = [f"{y:04d}-{m:02d}-{d:02d} {clock}"
                  for y in (1, 4, 100, 1900, 1970, 2000, 2020, 2021, 2100, 2400, 9999)
                  for m in range(1, 13) for d in (0, 1, 28, 29, 30, 31, 32)
                  for clock in ("00:00", "23:59", "09:15:07", "23:59:59")]
-        cells += ODD_STAMPS + ["2020-01-06 09:15", "2020-01-06 09:15:00", "2020-1-6 9:17"]
+        if in_range_only:
+            # every cell a date strptime reads, so numpy parses them in one call
+            cells = [c for c in cells if market._parse_timestamp(c) is not None]
+            np.fromiter(cells, "datetime64[s]", len(cells))
+        else:
+            cells += ODD_STAMPS + ["2020-01-06 09:15", "2020-01-06 09:15:00", "2020-1-6 9:17"]
         got = market._parse_timestamps(cells)
         want = np.array([market._parse_timestamp(c) or "NaT" for c in cells], "datetime64[s]")
+        assert got.tobytes() == want.tobytes()
+
+    EDGE_NUMBERS = ["1__0", "\u0661\u0662\u0663", "\xa0100.5\xa0", "1e400", "-1e400", "0x10",
+                    "1,5", "1e-400", "+.5", "Infinity", "nAn"]
+
+    @pytest.mark.parametrize("kind", ["odd", "mixed", "parseable"])
+    def test_float_column_matches_float(self, kind):
+        def parse(cell):
+            try:
+                return float(cell)
+            except ValueError:
+                return None
+
+        cells = ODD_NUMBERS + self.EDGE_NUMBERS
+        if kind == "mixed":
+            cells = [c for odd in cells for c in (odd, "100.25", "7")]
+        elif kind == "parseable":
+            # every cell one float reads, so numpy parses them in one call
+            cells = [c for c in cells if parse(c) is not None]
+            np.fromiter(cells, np.float64, len(cells))
+        got = market._parse_column(cells, np.float64, np.nan)
+        want = np.array([np.nan if x is None else x for x in map(parse, cells)])
         assert got.tobytes() == want.tobytes()

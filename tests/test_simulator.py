@@ -32,6 +32,19 @@ def burgers_config(**kw):
     return SolverConfig(**base)
 
 
+@pytest.mark.parametrize("kw, match", [
+    ({"n_grid": 100}, "power of two"),
+    ({"n_grid": 8}, "power of two"),
+    ({"equation": "heat"}, "equation"),
+    ({"probe_index": 256}, "probe_index"),
+    ({"probe_index": -1}, "probe_index"),
+], ids=["n-grid-not-power-of-two", "n-grid-below-16", "equation", "probe-index-n-grid",
+        "probe-index-negative"])
+def test_bad_config_rejected(kw, match):
+    with pytest.raises(ValueError, match=match):
+        burgers_config(**kw)
+
+
 class TestInitField:
     def test_quarter_points(self):
         state = init_field(SolverConfig(n_grid=16, equation="diffusion"))

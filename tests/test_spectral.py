@@ -272,6 +272,12 @@ class TestSegmentedBispectrum:
         with pytest.raises(ValueError):
             segmented_bispectrum(seeded_series(0, 256), 100)
 
+    @pytest.mark.parametrize("kw, match", [
+        ({"window": "hamming"}, "window"), ({"detrend": "quadratic"}, "detrend")])
+    def test_unknown_option_rejected(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            segmented_bispectrum(seeded_series(0, 256), 64, **kw)
+
     def test_coupled_blocks_high_bicoherence(self):
         # fresh phases per block, third phase locked to the sum
         rng = np.random.default_rng(11)

@@ -44,10 +44,32 @@ class TestTriadSpec:
             TriadSpec(omega_alpha=0.22, omega_beta=0.375, noise_amplitude=noise)
 
 
+    @pytest.mark.parametrize("kw, error, match", [
+        ({"coupling": "sum"}, ValueError, "coupling"),
+        ({"frequency_rule": "product"}, ValueError, "frequency_rule"),
+        ({"n_samples": 1}, ValueError, "n_samples"),
+        ({"omega_alpha": 0.0}, FrequencyAboveNyquist, "^frequency "),
+        ({"omega_beta": math.pi}, FrequencyAboveNyquist, "^frequency "),
+        ({"omega_alpha": -0.1}, FrequencyAboveNyquist, "^frequency "),
+    ], ids=["coupling", "frequency-rule", "one-sample", "alpha-zero", "beta-pi",
+            "alpha-negative"])
+    def test_bad_field_rejected(self, kw, error, match):
+        fields = dict(omega_alpha=0.22, omega_beta=0.375)
+        fields.update(kw)
+        with pytest.raises(error, match=match):
+            TriadSpec(**fields)
+
+
 @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -1.0])
 def test_noise_spec_amplitude_rejected(amplitude):
     with pytest.raises(ValueError, match="amplitude"):
         NoiseSpec(n_samples=64, amplitude=amplitude)
+
+
+@pytest.mark.parametrize("n_samples", [1, 0])
+def test_noise_spec_short_rejected(n_samples):
+    with pytest.raises(ValueError, match="n_samples"):
+        NoiseSpec(n_samples=n_samples)
 
 
 class TestGenTriad:
