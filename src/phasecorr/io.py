@@ -83,15 +83,29 @@ def save_grid(path: str | Path, grid: BispectrumGrid) -> None:
 
     The (k1, k2) layout is implicit in ``segment_length``.  Archive members
     carry a fixed timestamp, so the same grid always gives the same bytes.
+    The bytes are those ``np.savez`` writes for the same four fields.  It is
+    not called because it copies each member into the zip file through a
+    ``tobytes`` buffer of up to 16 MiB, which on the paper's grid is all of
+    ``values``; here each member is written from the array's own buffer.
     """
-    with open(path, "wb") as fh:
-        np.savez(fh, **{name: getattr(grid, name) for name in _GRID_FIELDS})
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED, allowZip64=True) as archive:
+        for name in _GRID_FIELDS:
+            array = np.asarray(getattr(grid, name))
+            if array.ndim:  # a 0-d scalar stays 0-d
+                array = np.ascontiguousarray(array)
+            with archive.open(name + ".npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(
+                    member, np.lib.format.header_data_from_array_1_0(array))
+                member.write(memoryview(array))
 
 
 def load_grid(path: str | Path) -> BispectrumGrid:
     """Read a grid written by ``save_grid``."""
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        archive = np.load(path, allow_pickle=False)
+        if isinstance(archive, np.ndarray):
+            raise FileUnreadable(f"{path} is an .npy array, not an .npz archive")
+        with archive:
             fields = {name: archive[name] for name in _GRID_FIELDS}
     except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise FileUnreadable(f"cannot read grid {path}: {exc}") from exc

@@ -282,6 +282,7 @@ def segmented_bispectrum(
     if window == "hann":
         seg = seg * np.hanning(segment_length)
     F = np.fft.rfft(seg, axis=1)
+    del seg  # the detrended or windowed copy is not needed once F exists
     if detrend != "none" and window == "rectangular":
         # detrending leaves only roundoff at k = 0, and b^2 of roundoff is noise
         F[:, 0] = 0.0
@@ -289,7 +290,13 @@ def segmented_bispectrum(
 
 
 def _b2(values, den):
-    return np.divide(np.abs(values) ** 2, den, out=np.zeros(len(den)), where=den > 0)
+    # one grid-sized buffer: |values|, squared and divided in place, 0 where den is not > 0
+    b2 = np.abs(values)
+    np.square(b2, out=b2)
+    tested = den > 0
+    np.divide(b2, den, out=b2, where=tested)
+    b2[~tested] = 0.0
+    return b2
 
 
 def bicoherence(grid: BispectrumGrid) -> np.ndarray:

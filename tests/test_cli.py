@@ -497,15 +497,20 @@ class TestReport:
         assert "input error:" in res.output and "norm" in res.output
         assert not rep.exists()
 
-    @pytest.mark.parametrize("field", ["values", "norm", "segments_averaged"])
+    @pytest.mark.parametrize("field", ["values", "norm", "segments_averaged", "npy"])
     def test_bad_grid_exit_2(self, runner, tmp_path, field):
-        # a 2-D values or norm array, or a grid averaged over no segments
+        # a 2-D values or norm array, a grid averaged over no segments, or a
+        # plain .npy array, which np.load gives back as an ndarray
         an = self.completed_analysis(runner, tmp_path)
         g = load_grid(an / "bispectrum.npz")
-        fields = {name: getattr(g, name) for name in
-                  ("values", "norm", "segments_averaged", "segment_length")}
-        fields[field] = 0 if field == "segments_averaged" else fields[field][:, None]
-        np.savez(an / "bispectrum.npz", **fields)
+        if field == "npy":
+            with open(an / "bispectrum.npz", "wb") as fh:
+                np.save(fh, g.values)
+        else:
+            fields = {name: getattr(g, name) for name in
+                      ("values", "norm", "segments_averaged", "segment_length")}
+            fields[field] = 0 if field == "segments_averaged" else fields[field][:, None]
+            np.savez(an / "bispectrum.npz", **fields)
         rep = tmp_path / "rep"
         res = runner.invoke(main, ["report", str(an), "--out", str(rep)])
         assert res.exit_code == 2

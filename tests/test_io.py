@@ -142,6 +142,38 @@ class TestGridArchive:
         assert np.array_equal(table[:, 0], want1) and np.array_equal(table[:, 1], want2)
         assert np.array_equal(table[:, 5], bicoherence(g))
 
+    @pytest.mark.parametrize("case", ["rectangular", "hann", "strided", "0-d-scalars"])
+    def test_same_bytes_as_np_savez(self, tmp_path, case):
+        # the scalars are Python ints except in the 0-d case, which must stay 0-d
+        g = segmented_bispectrum(TimeSeries(np.random.default_rng(12).normal(size=4096)), 128,
+                                 window="hann" if case == "hann" else "rectangular")
+        if case == "strided":
+            values, norm = np.repeat(g.values, 2), np.repeat(g.norm, 3)
+            g = BispectrumGrid(values[::2], norm[::3], g.segments_averaged, g.segment_length)
+            assert not g.values.flags.c_contiguous and not g.norm.flags.c_contiguous
+        elif case == "0-d-scalars":
+            g = BispectrumGrid(g.values, g.norm, np.asarray(g.segments_averaged),
+                               np.asarray(g.segment_length))
+        save_grid(tmp_path / "g.npz", g)
+        with open(tmp_path / "want.npz", "wb") as fh:
+            np.savez(fh, values=g.values, norm=g.norm, segments_averaged=g.segments_averaged,
+                     segment_length=g.segment_length)
+        assert (tmp_path / "g.npz").read_bytes() == (tmp_path / "want.npz").read_bytes()
+
+    def test_writes_without_a_copy(self, tmp_path):
+        # np.savez would copy values through a tobytes buffer as large as the array
+        import tracemalloc
+
+        s = TimeSeries(np.random.default_rng(19).uniform(-1, 1, 64 * 2048))
+        g = segmented_bispectrum(s, 2048)
+        tracemalloc.start()
+        try:
+            save_grid(tmp_path / "g.npz", g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * g.values.nbytes
+
     def test_members_and_size(self, tmp_path):
         g = small_grid()
         save_grid(tmp_path / "g.npz", g)
@@ -162,6 +194,11 @@ class TestGridArchive:
     def test_not_an_archive(self, tmp_path):
         (tmp_path / "g.npz").write_text("k1,k2,re,im\n")
         with pytest.raises(FileUnreadable):
+            load_grid(tmp_path / "g.npz")
+        # np.load gives a plain .npy array back as an ndarray, not an archive
+        with open(tmp_path / "g.npz", "wb") as fh:
+            np.save(fh, small_grid().values)
+        with pytest.raises(FileUnreadable, match="g.npz"):
             load_grid(tmp_path / "g.npz")
 
     def test_wrong_bin_count(self, tmp_path):

@@ -408,6 +408,22 @@ class TestBicoherence:
         assert not nz.all()
         assert bicoherence(g).tobytes() == old.tobytes()
 
+    @pytest.mark.parametrize("reader", [bicoherence, detect_hotspots],
+                             ids=["bicoherence", "detect_hotspots"])
+    def test_one_grid_sized_buffer(self, reader):
+        # b^2 is the only float array as long as the grid; each mask of norm > 0 is 1/8 of it
+        import tracemalloc
+
+        s = TimeSeries(np.random.default_rng(19).uniform(-1, 1, 64 * 2048))
+        g = segmented_bispectrum(s, 2048)
+        tracemalloc.start()
+        try:
+            reader(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * g.norm.nbytes
+
 
 class TestDetectHotspots:
     def coupled_grid(self, n_seg=32, seg=512):
