@@ -8,6 +8,7 @@ reproduced bit-exactly.  Exit codes: 0 success, 2 usage or input error,
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import sys
@@ -27,11 +28,12 @@ from .io import (
     save_grid,
     write_series_csv,
 )
-from .market import build_series, load_ohlc_csv
-from .simulator import SolverConfig, run as run_simulation
+from .market import _SERIES_FIELDS, _TRANSFORMS, build_series, load_ohlc_csv
+from .simulator import _EQUATIONS, SolverConfig, run as run_simulation
 from .spectral import BispectrumGrid, analyze, power_spectrum
-from .spectral import _check_overlap, _check_segment_length, _check_threshold
+from .spectral import _DETRENDS, _WINDOWS, _check_overlap, _check_segment_length, _check_threshold
 from .synthetic import (
+    _FREQUENCY_RULES,
     NoiseSpec,
     TriadSpec,
     gen_gaussian_box_muller,
@@ -83,8 +85,16 @@ def _checked(rule):
     return callback
 
 
-def _threshold(text: str) -> str | float:
-    return text if text == "auto" else _check_threshold(float(text))
+def _defaults(func) -> dict:
+    """The default of each parameter of ``func`` that has one: what an option feeding
+    that parameter defaults to."""
+    return {name: p.default for name, p in inspect.signature(func).parameters.items()
+            if p.default is not p.empty}
+
+
+_ANALYZE_DEFAULTS = _defaults(analyze)
+_SERIES_DEFAULTS = _defaults(build_series)
+_NOISE_KINDS = {"uniform": gen_white_uniform, "gaussian": gen_gaussian_box_muller}
 
 
 config_option = click.option(
@@ -128,7 +138,7 @@ def _write_generated(ctx: click.Context, command: str, out: str, make) -> None:
     click.echo(f"wrote {out_dir / 'series.csv'} ({len(series)} samples)")
 
 
-@click.group()
+@click.group(context_settings={"show_default": True})
 @click.version_option(__version__)
 def main() -> None:
     """Spectral phase-correlation toolkit."""
@@ -140,64 +150,56 @@ def generate() -> None:
 
 
 @generate.command("triad")
-@click.option("--coupled/--uncoupled", "coupled", default=True, show_default=True,
+@click.option("--coupled/--uncoupled", "coupled", default=True,
               help="Tie the third phase to the sum of the first two.")
 @click.option("--omega-a", type=float, required=True, help="First frequency, rad/sample.")
 @click.option("--omega-b", type=float, required=True, help="Second frequency, rad/sample.")
-@click.option("--frequency-rule", type=click.Choice(["sum", "reciprocal"]), default="sum",
-              show_default=True)
+@click.option("--frequency-rule", type=click.Choice(_FREQUENCY_RULES),
+              default=TriadSpec.frequency_rule)
 @click.option("--n", type=int, required=True, help="Number of samples.")
-@click.option("--noise", type=float, default=0.05, show_default=True)
-@click.option("--phase-block", type=int, default=0, show_default=True,
+@click.option("--noise", type=float, default=TriadSpec.noise_amplitude)
+@click.option("--phase-block", type=int, default=0,
               help="Redraw phases every this many samples (0 = fixed phases).")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=str, default=".", show_default=True)
+@click.option("--seed", type=int, default=TriadSpec.seed)
+@click.option("--out", type=str, default=".")
 @config_option
 @click.pass_context
 def cmd_generate_triad(ctx, coupled, omega_a, omega_b, frequency_rule, n, noise,
                        phase_block, seed, out):
     """Write a three-cosine series with or without quadratic phase coupling."""
     _write_generated(ctx, "generate triad", out, lambda: gen_triad(TriadSpec(
-        omega_alpha=omega_a,
-        omega_beta=omega_b,
-        coupling="phase_sum" if coupled else "independent",
-        frequency_rule=frequency_rule,
-        n_samples=n,
-        noise_amplitude=noise,
-        seed=seed,
-        phase_block=phase_block or None,
-    )))
+        omega_alpha=omega_a, omega_beta=omega_b,
+        coupling="phase_sum" if coupled else "independent", frequency_rule=frequency_rule,
+        n_samples=n, noise_amplitude=noise, seed=seed, phase_block=phase_block or None)))
 
 
 @generate.command("noise")
-@click.option("--kind", type=click.Choice(["uniform", "gaussian"]), default="uniform",
-              show_default=True)
+@click.option("--kind", type=click.Choice(list(_NOISE_KINDS)), default="uniform")
 @click.option("--n", type=int, required=True, help="Number of samples.")
-@click.option("--amplitude", type=float, default=1.0, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=str, default=".", show_default=True)
+@click.option("--amplitude", type=float, default=NoiseSpec.amplitude)
+@click.option("--seed", type=int, default=NoiseSpec.seed)
+@click.option("--out", type=str, default=".")
 @config_option
 @click.pass_context
 def cmd_generate_noise(ctx, kind, n, amplitude, seed, out):
     """Write uniform white noise or Box-Muller Gaussian noise."""
-    gen = gen_white_uniform if kind == "uniform" else gen_gaussian_box_muller
-    _write_generated(ctx, "generate noise", out, lambda: gen(
+    _write_generated(ctx, "generate noise", out, lambda: _NOISE_KINDS[kind](
         NoiseSpec(n_samples=n, amplitude=amplitude, seed=seed)))
 
 
 @main.command("simulate")
-@click.argument("equation", type=click.Choice(["burgers", "diffusion"]))
-@click.option("--n", type=int, default=1024, show_default=True, help="Grid points (power of two).")
-@click.option("--length", type=float, default=2.0 * np.pi, show_default=True)
-@click.option("--dt", type=float, default=1e-4, show_default=True)
-@click.option("--nu", type=float, default=3e-3, show_default=True)
-@click.option("--forcing", type=float, default=6.0, show_default=True)
-@click.option("--steps", type=int, default=100_000, show_default=True)
-@click.option("--probe-index", type=int, default=0, show_default=True)
-@click.option("--snapshot-stride", type=int, default=0, show_default=True,
+@click.argument("equation", type=click.Choice(_EQUATIONS))
+@click.option("--n", type=int, default=SolverConfig.n_grid, help="Grid points (power of two).")
+@click.option("--length", type=float, default=SolverConfig.length)
+@click.option("--dt", type=float, default=SolverConfig.dt)
+@click.option("--nu", type=float, default=SolverConfig.nu)
+@click.option("--forcing", type=float, default=SolverConfig.forcing_amplitude)
+@click.option("--steps", type=int, default=SolverConfig.n_steps)
+@click.option("--probe-index", type=int, default=SolverConfig.probe_index)
+@click.option("--snapshot-stride", type=int, default=SolverConfig.snapshot_stride,
               help="Steps between snapshots (0 = final only).")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=str, default=".", show_default=True)
+@click.option("--seed", type=int, default=SolverConfig.seed)
+@click.option("--out", type=str, default=".")
 @config_option
 @click.pass_context
 def cmd_simulate(ctx, equation, n, length, dt, nu, forcing, steps, probe_index,
@@ -230,32 +232,30 @@ def cmd_simulate(ctx, equation, n, length, dt, nu, forcing, steps, probe_index,
 @main.command("analyze")
 @click.argument("input_path", type=str)
 @click.option("--ohlc", is_flag=True, default=False, help="Input is an OHLCV CSV.")
-@click.option("--field", "price_field", type=click.Choice(["close", "open", "mid"]),
-              default="close", show_default=True)
-@click.option("--transform", type=click.Choice(["raw", "demean", "log_return"]),
-              default="raw", show_default=True)
-@click.option("--segments", type=click.IntRange(min=1), default=None,
+@click.option("--field", "price_field", type=click.Choice(_SERIES_FIELDS),
+              default=_SERIES_DEFAULTS["price_field"])
+@click.option("--transform", type=click.Choice(_TRANSFORMS), default=_SERIES_DEFAULTS["transform"])
+@click.option("--segments", type=click.IntRange(min=1), default=_ANALYZE_DEFAULTS["segments"],
               help="Target segment count (segment length = largest power of two that fits).")
-@click.option("--segment-length", type=int, default=None,
+@click.option("--segment-length", type=int, default=_ANALYZE_DEFAULTS["segment_length"],
               callback=_checked(_check_segment_length),
               help="Explicit power-of-two length, at least 8.")
-@click.option("--overlap", type=float, default=0.0, show_default=True,
+@click.option("--overlap", type=float, default=_ANALYZE_DEFAULTS["overlap_fraction"],
               callback=_checked(_check_overlap),
               help="Fraction of a segment shared with the next, in [0, 1).")
-@click.option("--window", type=click.Choice(["rectangular", "hann"]), default="rectangular",
-              show_default=True)
-@click.option("--detrend", type=click.Choice(["none", "demean", "linear"]), default="demean",
-              show_default=True)
-@click.option("--threshold", type=str, default="auto", show_default=True,
-              callback=_checked(_threshold))
-@click.option("--min-segments", type=click.IntRange(min=0), default=16, show_default=True)
-@click.option("--out", type=str, default=".", show_default=True)
+@click.option("--window", type=click.Choice(_WINDOWS), default=_ANALYZE_DEFAULTS["window"])
+@click.option("--detrend", type=click.Choice(_DETRENDS), default=_ANALYZE_DEFAULTS["detrend"])
+@click.option("--threshold", type=str, default=_ANALYZE_DEFAULTS["threshold"],
+              callback=_checked(_check_threshold))
+@click.option("--min-segments", type=click.IntRange(min=0),
+              default=_ANALYZE_DEFAULTS["min_segments"])
+@click.option("--out", type=str, default=".")
 @config_option
 @click.pass_context
 def cmd_analyze(ctx, input_path, ohlc, price_field, transform, segments, segment_length,
                 overlap, window, detrend, threshold, min_segments, out):
     """Run the full spectral analysis on a series and print the verdict."""
-    if not ohlc and (price_field, transform) != ("close", "raw"):
+    if not ohlc and {"price_field": price_field, "transform": transform} != _SERIES_DEFAULTS:
         raise click.UsageError("--field and --transform apply only with --ohlc")
     if segments is not None and segment_length is not None:
         raise click.UsageError("give --segments or --segment-length, not both")
@@ -292,8 +292,8 @@ REPORT_PANELS = (
 
 @main.command("report")
 @click.argument("analysis_dir", type=str)
-@click.option("--out", type=str, default=".", show_default=True)
-@click.option("--render/--no-render", default=False, show_default=True,
+@click.option("--out", type=str, default=".")
+@click.option("--render/--no-render", default=False,
               help="Also rasterize panels to PNG when matplotlib is available.")
 @click.pass_context
 def cmd_report(ctx, analysis_dir, out, render):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FileUnreadable
+from .errors import FileUnreadable, LengthTooShort, NonFiniteInput
 from .spectral import BispectrumGrid, HotspotReport, TimeSeries
 
 __all__ = [
@@ -60,8 +60,8 @@ def save_array(path: str | Path, values: np.ndarray) -> None:
 
 
 def check_array(path: str | Path) -> None:
-    """Raise ``FileUnreadable`` unless ``path`` is a 1-D float64 ``.npy`` file of
-    at least 2 finite samples, as ``save_array`` writes a series."""
+    """Raise ``FileUnreadable`` unless ``path`` is a 1-D float64 ``.npy`` file, as
+    ``save_array`` writes a series, whose memory map ``TimeSeries`` accepts."""
     try:
         array = np.load(path, mmap_mode="r", allow_pickle=False)
     except (OSError, EOFError, ValueError) as exc:
@@ -72,10 +72,10 @@ def check_array(path: str | Path) -> None:
     if array.ndim != 1 or array.dtype != np.float64:
         raise FileUnreadable(f"{path} holds a {array.ndim}-D {array.dtype} array, "
                              "not a 1-D float64 one")
-    if len(array) < 2:
-        raise FileUnreadable(f"{path} holds {len(array)} samples, need at least 2")
-    if not np.isfinite(array).all():
-        raise FileUnreadable(f"{path} holds samples that are not finite")
+    try:
+        TimeSeries(array)
+    except (LengthTooShort, NonFiniteInput) as exc:
+        raise FileUnreadable(f"{path}: {exc}") from exc
 
 
 def save_grid(path: str | Path, grid: BispectrumGrid) -> None:

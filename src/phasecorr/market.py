@@ -31,15 +31,11 @@ __all__ = [
     "build_series",
 ]
 
-DEFAULT_SCHEMA = {
-    "datetime": "datetime",
-    "open": "open",
-    "high": "high",
-    "low": "low",
-    "close": "close",
-    "volume": "volume",
-}
 _PRICE_FIELDS = ("open", "high", "low", "close", "volume")
+DEFAULT_SCHEMA = {name: name for name in ("datetime", *_PRICE_FIELDS)}
+# the choices of build_series
+_SERIES_FIELDS = ("close", "open", "mid")
+_TRANSFORMS = ("raw", "demean", "log_return")
 
 _TS_FORMATS = ("%Y-%m-%d %H:%M", "%Y-%m-%d %H:%M:%S")
 # rows parsed at a time: bounds the Python objects alive at once
@@ -225,19 +221,17 @@ def build_series(
     price_field: close, open, or mid ((high+low)/2)
     transform:   raw, demean, or log_return (length N-1)
     """
-    if price_field in ("close", "open"):
-        p = getattr(ticks, price_field).copy()
-    elif price_field == "mid":
+    if price_field not in _SERIES_FIELDS:
+        raise ValueError(f"unknown price_field {price_field!r}")
+    if transform not in _TRANSFORMS:
+        raise ValueError(f"unknown transform {transform!r}")
+    if price_field == "mid":
         p = (ticks.high + ticks.low) / 2.0
     else:
-        raise ValueError(f"unknown price_field {price_field!r}")
+        p = getattr(ticks, price_field).copy()
 
-    if transform == "raw":
-        v = p
-    elif transform == "demean":
-        v = p - p.mean()
+    if transform == "demean":
+        p = p - p.mean()
     elif transform == "log_return":
-        v = np.log(p[1:] / p[:-1])
-    else:
-        raise ValueError(f"unknown transform {transform!r}")
-    return TimeSeries(values=v)
+        p = np.log(p[1:] / p[:-1])
+    return TimeSeries(values=p)

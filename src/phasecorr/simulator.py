@@ -7,8 +7,8 @@ stages of a step.  The nonlinearity is taken in conservative form,
 ``(u u_x)^ = (ik/2) (u^2)^``: with only |k| <= n/3 retained, every alias of
 the physical-space square lands above n/3 and is masked, so each stage needs
 one inverse and one forward transform.  ``step`` returns the masked spectrum
-and max|u| with the field and takes them back on the next call, so a run
-never re-transforms its own field; 8 real FFTs make a Burgers step, plus one
+with the field and takes it back on the next call, so a run never
+re-transforms its own field; 8 real FFTs make a Burgers step, plus one
 batched forcing transform per ``FORCING_BLOCK`` steps.  Forcing is i.i.d.
 uniform in [-A, A] per grid point per step, demeaned and not scaled by
 sqrt(dt); the values of step s come from ``default_rng([seed, s])``.
@@ -38,6 +38,7 @@ __all__ = [
 BLOWUP_LIMIT = 1e6
 # steps whose forcing spectra are drawn and transformed together
 FORCING_BLOCK = 64
+_EQUATIONS = ("burgers", "diffusion")
 
 
 @dataclass
@@ -56,7 +57,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.n_grid < 16 or self.n_grid & (self.n_grid - 1):
             raise ValueError(f"n_grid must be a power of two >= 16, got {self.n_grid}")
-        if self.equation not in ("burgers", "diffusion"):
+        if self.equation not in _EQUATIONS:
             raise ValueError(f"unknown equation {self.equation!r}")
         if not (0 < self.length < math.inf):
             raise ValueError(f"length must be positive and finite, got {self.length}")
@@ -79,15 +80,14 @@ class SolverConfig:
 
 @dataclass
 class FieldState:
-    """The field after ``step`` steps.  ``uh`` is the masked rfft of ``u`` and
-    ``umax`` its max|u|, which ``step`` returns and reuses on the next call;
-    None derives them from ``u``."""
+    """The field after ``step`` steps.  ``uh`` is the masked rfft of ``u``, which
+    ``step`` sets on the state it returns and reuses on the next call; a state
+    built or replaced by hand has none, and ``step`` derives it from ``u``."""
 
     u: np.ndarray
     time: float = 0.0
     step: int = 0
-    uh: np.ndarray | None = field(default=None, compare=False, repr=False)
-    umax: float | None = field(default=None, compare=False, repr=False)
+    uh: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass
@@ -144,16 +144,14 @@ def step(state: FieldState, config: SolverConfig) -> FieldState:
     lin, ik_half, mask = _spectral_operators(n, config.length, config.nu)
     nonlinear = config.equation == "burgers"
 
-    u = state.u
-    if nonlinear:
-        umax = state.umax if state.umax is not None else float(np.abs(u).max())
-        cfl = config.dt * umax / (config.length / n)
-        if cfl >= 1.0:
-            raise CflViolation(state.step, cfl)
-    uh = state.uh
+    u, uh = state.u, state.uh
     if uh is None:
         uh = np.fft.rfft(u) * mask
         u = np.fft.irfft(uh, n)  # the dealiased field the spectrum stands for
+    if nonlinear:
+        cfl = config.dt * float(np.abs(u).max()) / (config.length / n)
+        if cfl >= 1.0:
+            raise CflViolation(state.step, cfl)
 
     block, row = divmod(state.step, FORCING_BLOCK)
     fh = _forcing_block(config.seed, n, config.forcing_amplitude, block)[row]
@@ -176,10 +174,11 @@ def step(state: FieldState, config: SolverConfig) -> FieldState:
     uh = uh + (dt / 6.0) * (2.0 * r2 + r1 + 2.0 * r3 + r4)
     u = np.fft.irfft(uh, n)
 
-    umax = float(np.abs(u).max())
-    if not umax <= BLOWUP_LIMIT:  # also true for NaN
+    if not np.abs(u).max() <= BLOWUP_LIMIT:  # also true for NaN
         raise BlowUp(state.step)
-    return FieldState(u=u, time=state.time + dt, step=state.step + 1, uh=uh, umax=umax)
+    new = FieldState(u=u, time=state.time + dt, step=state.step + 1)
+    new.uh = uh
+    return new
 
 
 def run(config: SolverConfig) -> SimOutput:

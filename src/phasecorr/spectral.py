@@ -234,7 +234,11 @@ def _check_overlap(overlap_fraction: float) -> float:
     return overlap_fraction
 
 
-def _check_threshold(threshold: float) -> float:
+def _check_threshold(threshold: float | str) -> float | str:
+    """The threshold as ``detect_hotspots`` takes it: "auto", or a float in (0, 1)."""
+    if threshold == "auto":
+        return threshold
+    threshold = float(threshold)
     # the map is 0 outside the domain, so only a positive threshold keeps those
     # cells out; b^2 <= 1, so no cell can exceed a threshold of 1 or more
     if not 0.0 < threshold < 1.0:
@@ -332,7 +336,8 @@ def detect_hotspots(
     else PhaseCorrelated iff any hotspot is found, and
     FullyDevelopedTurbulenceConsistent otherwise.
     """
-    thr = auto_threshold(grid) if threshold == "auto" else _check_threshold(float(threshold))
+    thr = _check_threshold(threshold)
+    thr = auto_threshold(grid) if thr == "auto" else thr
     b2 = bicoherence(grid)
     i = np.flatnonzero(b2 > thr)
     k1, k2 = grid.coords(i)

@@ -21,6 +21,8 @@ __all__ = [
     "gen_gaussian_box_muller",
 ]
 
+_FREQUENCY_RULES = ("sum", "reciprocal")
+
 
 @dataclass
 class TriadSpec:
@@ -49,7 +51,7 @@ class TriadSpec:
     def __post_init__(self):
         if self.coupling not in ("independent", "phase_sum"):
             raise ValueError(f"unknown coupling {self.coupling!r}")
-        if self.frequency_rule not in ("sum", "reciprocal"):
+        if self.frequency_rule not in _FREQUENCY_RULES:
             raise ValueError(f"unknown frequency_rule {self.frequency_rule!r}")
         if self.omega_alpha == self.omega_beta:
             raise ValueError("omega_alpha and omega_beta must differ")

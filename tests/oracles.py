@@ -220,8 +220,7 @@ def inplace_step(state, config):
 
     u = state.u
     if nonlinear:
-        umax = state.umax if state.umax is not None else float(np.abs(u).max())
-        cfl = config.dt * umax / (config.length / n)
+        cfl = config.dt * float(np.abs(u).max()) / (config.length / n)
         if cfl >= 1.0:
             raise CflViolation(state.step, cfl)
     uh = state.uh
@@ -269,7 +268,9 @@ def inplace_step(state, config):
     umax = float(np.abs(u).max())
     if not umax <= BLOWUP_LIMIT:  # also true for NaN
         raise BlowUp(state.step)
-    return FieldState(u=u, time=state.time + dt, step=state.step + 1, uh=uh, umax=umax)
+    new = FieldState(u=u, time=state.time + dt, step=state.step + 1)
+    new.uh = uh
+    return new
 
 
 def legacy_run(config, step=legacy_step):

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import sys
 import time
@@ -9,7 +10,15 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from phasecorr import SolverConfig, analyze, build_series, load_ohlc_csv, power_spectrum
+from phasecorr import (
+    NoiseSpec,
+    SolverConfig,
+    TriadSpec,
+    analyze,
+    build_series,
+    load_ohlc_csv,
+    power_spectrum,
+)
 from phasecorr import run as run_simulation
 from phasecorr.cli import main
 from phasecorr.io import format_hotspot_report, load_grid, read_series_csv, save_grid
@@ -661,3 +670,46 @@ def test_out_is_a_file_exit_2(runner, tmp_path, command):
     assert res.exit_code == 2
     assert str(taken) in res.output
     assert taken.read_text() == "a file\n"
+
+
+def default_of(func, name):
+    return inspect.signature(func).parameters[name].default
+
+
+# each command's optional flags that feed the library, with the library's default
+LIBRARY_DEFAULTS = {
+    "generate triad": {"frequency_rule": TriadSpec.frequency_rule,
+                       "noise": TriadSpec.noise_amplitude, "seed": TriadSpec.seed},
+    "generate noise": {"amplitude": NoiseSpec.amplitude, "seed": NoiseSpec.seed},
+    "simulate": {"n": SolverConfig.n_grid, "length": SolverConfig.length,
+                 "dt": SolverConfig.dt, "nu": SolverConfig.nu,
+                 "forcing": SolverConfig.forcing_amplitude, "steps": SolverConfig.n_steps,
+                 "probe_index": SolverConfig.probe_index,
+                 "snapshot_stride": SolverConfig.snapshot_stride, "seed": SolverConfig.seed},
+    "analyze": {"price_field": default_of(build_series, "price_field"),
+                "transform": default_of(build_series, "transform"),
+                "segments": default_of(analyze, "segments"),
+                "segment_length": default_of(analyze, "segment_length"),
+                "overlap": default_of(analyze, "overlap_fraction"),
+                "window": default_of(analyze, "window"),
+                "detrend": default_of(analyze, "detrend"),
+                "threshold": default_of(analyze, "threshold"),
+                "min_segments": default_of(analyze, "min_segments")},
+    "report": {},
+}
+# the flags whose defaults the CLI owns: where outputs go, and the command-line
+# encodings of the input kind, the coupling, fixed phases, the noise kind and rendering
+CLI_DEFAULTS = {"out": ".", "ohlc": False, "coupled": True, "phase_block": 0,
+                "kind": "uniform", "render": False}
+
+
+@pytest.mark.parametrize("command", list(LIBRARY_DEFAULTS))
+def test_option_defaults_are_library_defaults(command):
+    # every optional flag defaults to the library value it feeds, or is one the CLI owns
+    cmd = main
+    for name in command.split():
+        cmd = cmd.commands[name]
+    defaults = {p.name: p.default for p in cmd.params if p.expose_value and not p.required}
+    library = LIBRARY_DEFAULTS[command]
+    own = {name: CLI_DEFAULTS[name] for name in defaults.keys() - library.keys()}
+    assert defaults == {**library, **own}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -333,21 +334,32 @@ class TestForcingBlock:
         assert got.u.tobytes() == want.u.tobytes()
 
 
-class TestCarriedMax:
-    def test_carried_value_is_max_abs(self):
-        config = burgers_config(forcing_amplitude=3.0, n_steps=5)
-        state = init_field(config)
-        for _ in range(5):
-            state = step(state, config)
-            assert state.umax == np.abs(state.u).max()
+class TestHandMadeState:
+    """A state built or replaced by hand carries no spectrum of an earlier field:
+    ``step`` derives it, and its CFL check, from the state's own ``u``."""
 
-    def test_carried_value_feeds_cfl_check(self):
-        # dt * umax / dx = 1e-4 * 1e5 / (2 pi / 256) >= 1 although |u| <= 1
-        config = burgers_config()
-        state = init_field(config)
-        with pytest.raises(CflViolation):
-            step(FieldState(u=state.u, umax=1e5), config)
-        step(FieldState(u=state.u), config)
+    config = SolverConfig(n_grid=256, dt=1e-3, nu=0.02, forcing_amplitude=3.0, seed=4)
+
+    def stepped(self):
+        return step(init_field(self.config), self.config)
+
+    def test_replaced_field_steps_as_bare_field(self):
+        s = self.stepped()
+        got = step(dataclasses.replace(s, u=2 * s.u), self.config)
+        want = step(FieldState(u=2 * s.u, time=s.time, step=s.step), self.config)
+        assert got.u.tobytes() == want.u.tobytes()
+        assert got.uh.tobytes() == want.uh.tobytes()
+
+    def test_replaced_field_feeds_cfl_check(self):
+        # dt * max|u| / dx = 1e-3 * 100 * max|s.u| / (2 pi / 256) >= 1
+        s = self.stepped()
+        with pytest.raises(CflViolation, match="at step 1"):
+            step(dataclasses.replace(s, u=100 * s.u), self.config)
+
+    def test_spectrum_is_not_an_argument(self):
+        s = self.stepped()
+        with pytest.raises(TypeError):
+            FieldState(u=s.u, uh=s.uh)
 
 
 class TestSpatialSpectrum:

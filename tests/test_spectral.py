@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -555,6 +556,16 @@ class TestAnalyze:
     def test_rejects_bad_segment_options(self, options):
         with pytest.raises(ValueError, match="not both"):
             analyze(seeded_series(9, 5000), **options)
+
+    @pytest.mark.parametrize("stage, names", [
+        (segmented_bispectrum, ["overlap_fraction", "window", "detrend"]),
+        (detect_hotspots, ["threshold", "min_segments"]),
+    ], ids=["segmented_bispectrum", "detect_hotspots"])
+    def test_defaults_are_those_of_its_stages(self, stage, names):
+        # a default changed in a stage must change in analyze, which feeds it
+        params = inspect.signature(stage).parameters
+        assert {n: analyze.__kwdefaults__[n] for n in names} == {
+            n: params[n].default for n in names}
 
 
 def hotspots_reference(grid, thr):
