@@ -18,20 +18,13 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import BlowUp, CflViolation, PhasecorrError
-from .io import (
-    check_array,
-    format_hotspot_report,
-    load_grid,
-    read_series_csv,
-    save_array,
-    save_grid,
-    write_series_csv,
-)
+from .errors import BlowUp, CflViolation, FileUnreadable, PhasecorrError
+from .io import check_array, format_hotspot_report, read_series_csv, save_array, write_series_csv
 from .market import _SERIES_FIELDS, _TRANSFORMS, build_series, load_ohlc_csv
 from .simulator import _EQUATIONS, SolverConfig, run as run_simulation
-from .spectral import BispectrumGrid, analyze, power_spectrum
-from .spectral import _DETRENDS, _WINDOWS, _check_overlap, _check_segment_length, _check_threshold
+from .spectral import TimeSeries, analyze, power_spectrum, segmented_bispectrum
+from .spectral import (_DETRENDS, _WINDOWS, _check_grid_params, _check_overlap,
+                       _check_segment_length, _check_segments, _check_threshold)
 from .synthetic import (
     _FREQUENCY_RULES,
     NoiseSpec,
@@ -41,9 +34,8 @@ from .synthetic import (
     gen_white_uniform,
 )
 
-GRID_FILE = "bispectrum.npz"
 # what analyze writes besides its manifest, and report reads or references
-ANALYSIS_FILES = ("raw_series.npy", GRID_FILE, "hotspots.txt")
+ANALYSIS_FILES = ("raw_series.npy", "hotspots.txt")
 
 
 def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
@@ -74,14 +66,16 @@ def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     ctx.default_map = values
 
 
-def _checked(rule):
-    """Click callback that runs the library's ``rule`` on an option's value, so a
-    bad value is rejected, naming its flag, before any input is read."""
+def _checked(rule, *others):
+    """Click callback that runs the library's ``rule`` on an option's value and the
+    values of the options named in ``others``, which are eager so click has them
+    first; a bad value is rejected, naming the flags, before any input is read."""
     def callback(ctx: click.Context, param: click.Parameter, value):
         try:
-            return value if value is None else rule(value)
+            return value if value is None else rule(value, *(ctx.params[o] for o in others))
         except ValueError as exc:
-            raise click.BadParameter(str(exc), ctx, param)
+            flags = [p.opts[0] for p in ctx.command.params if p is param or p.name in others]
+            raise click.BadParameter(str(exc), ctx, param, flags)
     return callback
 
 
@@ -103,13 +97,14 @@ config_option = click.option(
 
 
 def _write_manifest(out: Path, command: str, params: dict,
-                    inputs: list[str], outputs: list[str]) -> None:
+                    inputs: list[str], outputs: list[str], **resolved) -> None:
     manifest = {
         "command": command,
         "config": {k: v for k, v in params.items() if k != "out"},
         "version": __version__,
         "inputs": sorted(inputs),
         "outputs": sorted(outputs),
+        **resolved,
     }
     if "seed" in params:
         manifest["seed"] = params["seed"]
@@ -236,9 +231,10 @@ def cmd_simulate(ctx, equation, n, length, dt, nu, forcing, steps, probe_index,
               default=_SERIES_DEFAULTS["price_field"])
 @click.option("--transform", type=click.Choice(_TRANSFORMS), default=_SERIES_DEFAULTS["transform"])
 @click.option("--segments", type=click.IntRange(min=1), default=_ANALYZE_DEFAULTS["segments"],
+              callback=_checked(_check_segments, "segment_length"),
               help="Target segment count (segment length = largest power of two that fits).")
 @click.option("--segment-length", type=int, default=_ANALYZE_DEFAULTS["segment_length"],
-              callback=_checked(_check_segment_length),
+              callback=_checked(_check_segment_length), is_eager=True,
               help="Explicit power-of-two length, at least 8.")
 @click.option("--overlap", type=float, default=_ANALYZE_DEFAULTS["overlap_fraction"],
               callback=_checked(_check_overlap),
@@ -257,8 +253,6 @@ def cmd_analyze(ctx, input_path, ohlc, price_field, transform, segments, segment
     """Run the full spectral analysis on a series and print the verdict."""
     if not ohlc and {"price_field": price_field, "transform": transform} != _SERIES_DEFAULTS:
         raise click.UsageError("--field and --transform apply only with --ohlc")
-    if segments is not None and segment_length is not None:
-        raise click.UsageError("give --segments or --segment-length, not both")
     try:
         if ohlc:
             ticks, _ = load_ohlc_csv(input_path)
@@ -274,20 +268,39 @@ def cmd_analyze(ctx, input_path, ohlc, price_field, transform, segments, segment
 
     out_dir = _prepare_out(out)
     save_array(out_dir / "raw_series.npy", series.values)
-    save_grid(out_dir / GRID_FILE, grid)
     (out_dir / "hotspots.txt").write_text(format_hotspot_report(hotspots))
-    _write_manifest(out_dir, "analyze", ctx.params, [input_path], list(ANALYSIS_FILES))
+    # the grid is not written: segmented_bispectrum rebuilds it from the series, the
+    # resolved length and the config, as report --render does
+    _write_manifest(out_dir, "analyze", ctx.params, [input_path], list(ANALYSIS_FILES),
+                    segment_length=grid.segment_length, numpy=np.__version__)
     click.echo(hotspots.verdict.value)
 
 
-# (panel, analysis file, plot kind, rendered image): the spectrum panel is the
-# series, whose power is ``power_spectrum(np.fft.fft(np.load(file)))``, and the
-# heatmap panel is the grid, whose dense b^2 map is ``load_grid(file).dense()``
+# (panel, plot kind, rendered image): every panel is drawn from the series in
+# raw_series.npy; the spectrum's power is ``power_spectrum(np.fft.fft(series))``
+# and the heatmap's dense b^2 map is ``segmented_bispectrum(TimeSeries(series),
+# **params).dense()``, with the grid parameters that index.json gives that panel
 REPORT_PANELS = (
-    ("raw", "raw_series.npy", "line", "raw.png"),
-    ("spectrum", "raw_series.npy", "power_spectrum", "spectrum.png"),
-    ("bicoherence_heatmap", GRID_FILE, "heatmap", "heatmap.png"),
+    ("raw", "line", "raw.png"),
+    ("spectrum", "power_spectrum", "spectrum.png"),
+    ("bicoherence_heatmap", "bicoherence", "heatmap.png"),
 )
+
+
+def _grid_params(path: Path) -> dict:
+    """The ``segmented_bispectrum`` arguments of an analysis, from its manifest."""
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        config = manifest["config"]
+        params = {"segment_length": manifest["segment_length"],
+                  "overlap_fraction": config["overlap"], "window": config["window"],
+                  "detrend": config["detrend"]}
+        _check_grid_params(**params)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        # a manifest written before the grid was dropped records no segment_length
+        raise FileUnreadable(f"{path} gives no grid parameters ({type(exc).__name__}: "
+                             f"{exc}); run analyze again") from exc
+    return params
 
 
 @main.command("report")
@@ -306,32 +319,32 @@ def cmd_report(ctx, analysis_dir, out, render):
     src_real, out_real = src.resolve(), Path(out).resolve()
     if out_real == src_real:
         raise click.UsageError("--out must not be the analysis directory")
-    for name in ANALYSIS_FILES:
-        if not (src / name).exists():
-            click.echo(f"missing input file: {src / name}", err=True)
+    inputs = [src / name for name in (*ANALYSIS_FILES, "manifest.json")]
+    for path in inputs:
+        if not path.exists():
+            click.echo(f"missing input file: {path}", err=True)
             sys.exit(2)
     try:
         check_array(src / "raw_series.npy")
-        grid = load_grid(src / GRID_FILE)
+        params = _grid_params(src / "manifest.json")
     except PhasecorrError as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(2)
     out_dir = _prepare_out(out)
-    index = {
-        "panels": [{"name": panel, "file": os.path.relpath(src_real / name, out_real),
-                    "kind": kind} for panel, name, kind, _ in REPORT_PANELS],
-        "verdict_file": os.path.relpath(src_real / "hotspots.txt", out_real),
-    }
+    series = os.path.relpath(src_real / "raw_series.npy", out_real)
+    panels = [{"name": panel, "file": series, "kind": kind} for panel, kind, _ in REPORT_PANELS]
+    panels[-1]["params"] = params  # the heatmap's grid
+    index = {"panels": panels,
+             "verdict_file": os.path.relpath(src_real / "hotspots.txt", out_real)}
     (out_dir / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
     outputs = ["index.json"]
     if render:
-        outputs.extend(_render_panels(src, out_dir, grid))
-    _write_manifest(out_dir, "report", ctx.params, [str(src / n) for n in ANALYSIS_FILES],
-                    outputs)
+        outputs.extend(_render_panels(src / "raw_series.npy", out_dir, params))
+    _write_manifest(out_dir, "report", ctx.params, [str(p) for p in inputs], outputs)
     click.echo(f"report written to {out_dir}")
 
 
-def _render_panels(src: Path, out_dir: Path, grid: BispectrumGrid) -> list[str]:
+def _render_panels(series_path: Path, out_dir: Path, params: dict) -> list[str]:
     try:
         import matplotlib
         matplotlib.use("Agg")
@@ -339,18 +352,20 @@ def _render_panels(src: Path, out_dir: Path, grid: BispectrumGrid) -> list[str]:
     except ImportError:
         click.echo("matplotlib unavailable; skipping rendering", err=True)
         return []
+    series = np.load(series_path, allow_pickle=False)
     rendered = []
-    for _, name, kind, image in REPORT_PANELS:
+    for _, kind, image in REPORT_PANELS:
         fig, ax = plt.subplots()
         if kind == "line":
-            ax.plot(np.load(src / name, allow_pickle=False), lw=0.5)
+            ax.plot(series, lw=0.5)
             ax.set_xlabel("t"); ax.set_ylabel("value")
         elif kind == "power_spectrum":
-            power = power_spectrum(np.fft.fft(np.load(src / name, allow_pickle=False)))
+            power = power_spectrum(np.fft.fft(series))
             nz = np.flatnonzero(power > 0)
             ax.loglog(nz, power[nz], lw=0.5)
             ax.set_xlabel("bin"); ax.set_ylabel("power")
         else:
+            grid = segmented_bispectrum(TimeSeries(series), **params)
             ax.imshow(grid.dense(), origin="lower", aspect="auto", cmap="viridis")
             ax.set_xlabel("k2"); ax.set_ylabel("k1")
         fig.savefig(out_dir / image, metadata={"Software": ""})

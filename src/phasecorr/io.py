@@ -1,27 +1,23 @@
-"""Canonical on-disk formats: the ``t,value`` series CSV, ``.npy`` arrays, the
-binary bispectrum grid and the plain-text hotspot report."""
+"""Canonical on-disk formats: the ``t,value`` series CSV, ``.npy`` arrays and the
+plain-text hotspot report.  The bispectrum grid is not stored: it follows from the
+series and the analysis parameters."""
 
 from __future__ import annotations
 
-import zipfile
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FileUnreadable, LengthTooShort, NonFiniteInput
-from .spectral import BispectrumGrid, HotspotReport, TimeSeries
+from .spectral import HotspotReport, TimeSeries
 
 __all__ = [
     "write_series_csv",
     "read_series_csv",
     "save_array",
     "check_array",
-    "save_grid",
-    "load_grid",
     "format_hotspot_report",
 ]
-
-_GRID_FIELDS = ("values", "norm", "segments_averaged", "segment_length")
 
 
 def write_series_csv(path: str | Path, series: TimeSeries) -> None:
@@ -76,49 +72,6 @@ def check_array(path: str | Path) -> None:
         TimeSeries(array)
     except (LengthTooShort, NonFiniteInput) as exc:
         raise FileUnreadable(f"{path}: {exc}") from exc
-
-
-def save_grid(path: str | Path, grid: BispectrumGrid) -> None:
-    """Write the grid as an ``.npz`` archive readable by ``np.load``.
-
-    The (k1, k2) layout is implicit in ``segment_length``.  Archive members
-    carry a fixed timestamp, so the same grid always gives the same bytes.
-    The bytes are those ``np.savez`` writes for the same four fields.  It is
-    not called because it copies each member into the zip file through a
-    ``tobytes`` buffer of up to 16 MiB, which on the paper's grid is all of
-    ``values``; here each member is written from the array's own buffer.
-    """
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED, allowZip64=True) as archive:
-        for name in _GRID_FIELDS:
-            array = np.asarray(getattr(grid, name))
-            if array.ndim:  # a 0-d scalar stays 0-d
-                array = np.ascontiguousarray(array)
-            with archive.open(name + ".npy", "w", force_zip64=True) as member:
-                np.lib.format.write_array_header_1_0(
-                    member, np.lib.format.header_data_from_array_1_0(array))
-                member.write(memoryview(array))
-
-
-def load_grid(path: str | Path) -> BispectrumGrid:
-    """Read a grid written by ``save_grid``."""
-    try:
-        archive = np.load(path, allow_pickle=False)
-        if isinstance(archive, np.ndarray):
-            raise FileUnreadable(f"{path} is an .npy array, not an .npz archive")
-        with archive:
-            fields = {name: archive[name] for name in _GRID_FIELDS}
-    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-        raise FileUnreadable(f"cannot read grid {path}: {exc}") from exc
-    try:
-        grid = BispectrumGrid(
-            values=np.asarray(fields["values"], dtype=complex),
-            norm=np.asarray(fields["norm"], dtype=float),
-            segments_averaged=int(fields["segments_averaged"]),
-            segment_length=int(fields["segment_length"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise FileUnreadable(f"{path}: {exc}") from exc
-    return grid
 
 
 def format_hotspot_report(report: HotspotReport) -> str:

@@ -81,8 +81,9 @@ class SolverConfig:
 @dataclass
 class FieldState:
     """The field after ``step`` steps.  ``uh`` is the masked rfft of ``u``, which
-    ``step`` sets on the state it returns and reuses on the next call; a state
-    built or replaced by hand has none, and ``step`` derives it from ``u``."""
+    ``step`` sets on the state it returns, with ``u`` read-only, and reuses on the
+    next call; a state built or replaced by hand has none, and ``step`` derives it
+    from ``u``."""
 
     u: np.ndarray
     time: float = 0.0
@@ -176,6 +177,9 @@ def step(state: FieldState, config: SolverConfig) -> FieldState:
 
     if not np.abs(u).max() <= BLOWUP_LIMIT:  # also true for NaN
         raise BlowUp(state.step)
+    # uh stands for u on the next call, so u is read-only: an in-place change raises
+    # rather than being stepped as the old field
+    u.flags.writeable = False
     new = FieldState(u=u, time=state.time + dt, step=state.step + 1)
     new.uh = uh
     return new

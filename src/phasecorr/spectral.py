@@ -234,6 +234,24 @@ def _check_overlap(overlap_fraction: float) -> float:
     return overlap_fraction
 
 
+def _check_grid_params(segment_length: int, overlap_fraction: float, window: str,
+                       detrend: str) -> None:
+    """The rules on the parameters of ``segmented_bispectrum`` other than the series."""
+    _check_segment_length(segment_length)
+    _check_overlap(overlap_fraction)
+    if window not in _WINDOWS:
+        raise ValueError(f"window must be one of {_WINDOWS}")
+    if detrend not in _DETRENDS:
+        raise ValueError(f"detrend must be one of {_DETRENDS}")
+
+
+def _check_segments(segments: int, segment_length: int | None) -> int:
+    """A target segment count, which leaves the length to be picked: not with one given."""
+    if segments < 1 or segment_length is not None:
+        raise ValueError(f"give segment_length or segments >= 1, not both; got {segments=}")
+    return segments
+
+
 def _check_threshold(threshold: float | str) -> float | str:
     """The threshold as ``detect_hotspots`` takes it: "auto", or a float in (0, 1)."""
     if threshold == "auto":
@@ -268,12 +286,7 @@ def segmented_bispectrum(
     n = len(v)
     if segment_length > n:
         raise SegmentTooLong(f"segment_length {segment_length} > series length {n}")
-    _check_segment_length(segment_length)
-    _check_overlap(overlap_fraction)
-    if window not in _WINDOWS:
-        raise ValueError(f"window must be one of {_WINDOWS}")
-    if detrend not in _DETRENDS:
-        raise ValueError(f"detrend must be one of {_DETRENDS}")
+    _check_grid_params(segment_length, overlap_fraction, window, detrend)
 
     step = max(1, int(round(segment_length * (1.0 - overlap_fraction))))
     seg = np.lib.stride_tricks.sliding_window_view(v, segment_length)[::step]
@@ -373,8 +386,8 @@ def analyze(series: TimeSeries, segment_length: int | None = None, *, segments: 
     Give ``segment_length`` or a target count of ``segments`` (64 if neither),
     which picks the largest power of two >= 8 that fits ``len(series) // segments``.
     """
-    if segments is not None and (segment_length is not None or segments < 1):
-        raise ValueError(f"give segment_length or segments >= 1, not both; got {segments=}")
+    if segments is not None:
+        _check_segments(segments, segment_length)
     if segment_length is None:
         segment_length = 1 << max(3, (len(series) // (segments or 64)).bit_length() - 1)
     grid = segmented_bispectrum(series, segment_length, overlap_fraction, window, detrend)

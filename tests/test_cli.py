@@ -13,15 +13,17 @@ from click.testing import CliRunner
 from phasecorr import (
     NoiseSpec,
     SolverConfig,
+    TimeSeries,
     TriadSpec,
     analyze,
     build_series,
     load_ohlc_csv,
     power_spectrum,
+    segmented_bispectrum,
 )
 from phasecorr import run as run_simulation
 from phasecorr.cli import main
-from phasecorr.io import format_hotspot_report, load_grid, read_series_csv, save_grid
+from phasecorr.io import format_hotspot_report, read_series_csv
 
 
 @pytest.fixture
@@ -285,8 +287,8 @@ class TestAnalyze:
         res = run_cli(runner, ["analyze", str(csv), "--segments", "32", "--out", str(out)])
         assert res.exit_code == 0
         assert res.output.strip().endswith("PhaseCorrelated")
-        for name in ("raw_series.npy", "bispectrum.npz", "hotspots.txt", "manifest.json"):
-            assert (out / name).exists()
+        assert sorted(f.name for f in out.iterdir()) == [
+            "hotspots.txt", "manifest.json", "raw_series.npy"]
         report = (out / "hotspots.txt").read_text()
         ka = round(0.22 * 1024 / (2 * np.pi))
         kb = round(0.375 * 1024 / (2 * np.pi))
@@ -382,14 +384,20 @@ class TestAnalyze:
         assert not out.exists()
 
     def test_grid_bytes_reproducible(self, runner, tmp_path, monkeypatch):
+        # the grid report rebuilds from an analysis, from raw_series.npy and the manifest
         csv = make_triad_csv(runner, tmp_path, True)
         run_cli(runner, ["analyze", str(csv), "--segments", "32", "--out", str(tmp_path / "a")])
-        # a later wall clock must not reach the archive's bytes
+        # a later wall clock must not reach the grid's bytes
         later = time.time() + 86400.0
         monkeypatch.setattr(time, "time", lambda: later)
         run_cli(runner, ["analyze", str(csv), "--segments", "32", "--out", str(tmp_path / "b")])
-        assert (tmp_path / "a" / "bispectrum.npz").read_bytes() == \
-               (tmp_path / "b" / "bispectrum.npz").read_bytes()
+        grids = []
+        for an in (tmp_path / "a", tmp_path / "b"):
+            manifest = json.loads((an / "manifest.json").read_text())
+            grids.append(segmented_bispectrum(TimeSeries(np.load(an / "raw_series.npy")),
+                                              manifest["segment_length"]))
+        for name in ("values", "norm"):
+            assert getattr(grids[0], name).tobytes() == getattr(grids[1], name).tobytes()
 
     def test_same_as_library(self, runner, tmp_path):
         # 40,000 samples over 32 segments is 1,250 each: both pick 1,024
@@ -403,9 +411,18 @@ class TestAnalyze:
                                "--out", str(an)])
         assert res.exit_code == 0
         grid, report = analyze(read_series_csv(out / "series.csv"), segments=32)
-        assert grid.segment_length == load_grid(an / "bispectrum.npz").segment_length == 1024
-        save_grid(tmp_path / "library.npz", grid)
-        assert (tmp_path / "library.npz").read_bytes() == (an / "bispectrum.npz").read_bytes()
+        manifest = json.loads((an / "manifest.json").read_text())
+        assert grid.segment_length == manifest["segment_length"] == 1024
+        assert manifest["numpy"] == np.__version__
+        # the grid as the README rebuilds it, from the series and the manifest
+        config = manifest["config"]
+        rebuilt = segmented_bispectrum(
+            TimeSeries(np.load(an / "raw_series.npy")), manifest["segment_length"],
+            overlap_fraction=config["overlap"], window=config["window"],
+            detrend=config["detrend"])
+        for name in ("values", "norm"):
+            assert getattr(rebuilt, name).tobytes() == getattr(grid, name).tobytes()
+        assert rebuilt.segments_averaged == grid.segments_averaged
         assert report.hotspots
         assert format_hotspot_report(report) == (an / "hotspots.txt").read_text()
 
@@ -454,7 +471,7 @@ class TestReport:
         assert len(index["panels"]) == 3
 
     @pytest.mark.parametrize(
-        "name", ["raw_series.npy", "bispectrum.npz", "hotspots.txt"])
+        "name", ["raw_series.npy", "hotspots.txt", "manifest.json"])
     def test_missing_input_exit_2(self, runner, tmp_path, name):
         an = self.completed_analysis(runner, tmp_path)
         (an / name).unlink()
@@ -493,37 +510,41 @@ class TestReport:
         assert "input error:" in res.output and name in res.output
         assert not rep.exists()
 
-    def test_old_grid_layout_exit_2(self, runner, tmp_path):
-        # an archive with the two normalizers and no product is not read
+    @pytest.mark.parametrize("edit", [
+        lambda m: "command=analyze\n",
+        lambda m: json.dumps([m]),
+        lambda m: json.dumps({k: v for k, v in m.items() if k != "segment_length"}),
+        lambda m: json.dumps({k: v for k, v in m.items() if k != "config"}),
+        lambda m: json.dumps({**m, "segment_length": 100}),
+        lambda m: json.dumps({**m, "config": {**m["config"], "window": "cosine"}}),
+    ], ids=["not-json", "not-an-object", "no-segment-length", "no-config",
+            "bad-segment-length", "bad-window"])
+    def test_bad_manifest_exit_2(self, runner, tmp_path, edit):
+        # the heatmap's grid parameters come from the analysis manifest
         an = self.completed_analysis(runner, tmp_path)
-        g = load_grid(an / "bispectrum.npz")
-        np.savez(an / "bispectrum.npz", values=g.values, norm_a=g.norm,
-                 norm_b=np.ones(len(g.norm)), segments_averaged=g.segments_averaged,
-                 segment_length=g.segment_length)
+        path = an / "manifest.json"
+        path.write_text(edit(json.loads(path.read_text())))
         rep = tmp_path / "rep"
         res = runner.invoke(main, ["report", str(an), "--out", str(rep)])
         assert res.exit_code == 2
-        assert "input error:" in res.output and "norm" in res.output
+        assert "input error:" in res.output and "manifest.json" in res.output
         assert not rep.exists()
 
-    @pytest.mark.parametrize("field", ["values", "norm", "segments_averaged", "npy"])
-    def test_bad_grid_exit_2(self, runner, tmp_path, field):
-        # a 2-D values or norm array, a grid averaged over no segments, or a
-        # plain .npy array, which np.load gives back as an ndarray
+    def test_old_grid_layout_exit_2(self, runner, tmp_path):
+        # an analysis written with the grid archive and no resolved segment_length
         an = self.completed_analysis(runner, tmp_path)
-        g = load_grid(an / "bispectrum.npz")
-        if field == "npy":
-            with open(an / "bispectrum.npz", "wb") as fh:
-                np.save(fh, g.values)
-        else:
-            fields = {name: getattr(g, name) for name in
-                      ("values", "norm", "segments_averaged", "segment_length")}
-            fields[field] = 0 if field == "segments_averaged" else fields[field][:, None]
-            np.savez(an / "bispectrum.npz", **fields)
+        manifest = json.loads((an / "manifest.json").read_text())
+        grid = segmented_bispectrum(TimeSeries(np.load(an / "raw_series.npy")),
+                                    manifest.pop("segment_length"))
+        del manifest["numpy"]
+        manifest["outputs"] = sorted(manifest["outputs"] + ["bispectrum.npz"])
+        (an / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        np.savez(an / "bispectrum.npz", values=grid.values, norm=grid.norm,
+                 segments_averaged=grid.segments_averaged, segment_length=grid.segment_length)
         rep = tmp_path / "rep"
         res = runner.invoke(main, ["report", str(an), "--out", str(rep)])
         assert res.exit_code == 2
-        assert "input error:" in res.output and field in res.output
+        assert "segment_length" in res.output and "run analyze again" in res.output
         assert not rep.exists()
 
     @pytest.mark.parametrize("spelling", [".", "../an"], ids=["same", "respelled"])
@@ -559,45 +580,7 @@ class TestReport:
             assert (rep / name).read_bytes().startswith(b"\x89PNG\r\n\x1a\n")
 
     def test_render_calls_recorded(self, runner, tmp_path, monkeypatch):
-        # a stub matplotlib records every call, with each array as a digest
-        calls = []
-
-        def digest(x):
-            if isinstance(x, np.ndarray):
-                return x.dtype.str, x.shape, hashlib.sha256(x.tobytes()).hexdigest()
-            return x
-
-        def recorder(name, figure=None):
-            def call(*args, **kwargs):
-                calls.append((name, figure, [digest(a) for a in args],
-                              {k: digest(v) for k, v in kwargs.items()}))
-            return call
-
-        class Figure:
-            def __init__(self, number):
-                self.number = number
-                self.savefig = recorder("savefig", number)
-
-        class Axes:
-            def __init__(self, number):
-                self.number = number
-
-            def __getattr__(self, name):
-                return recorder(name, self.number)
-
-        def subplots(*args, **kwargs):
-            recorder("subplots")(*args, **kwargs)
-            number = sum(c[0] == "subplots" for c in calls)
-            return Figure(number), Axes(number)
-
-        pyplot = types.ModuleType("matplotlib.pyplot")
-        pyplot.subplots = subplots
-        pyplot.close = lambda fig: calls.append(("close", fig.number, [], {}))
-        mpl = types.ModuleType("matplotlib")
-        mpl.use, mpl.pyplot = recorder("use"), pyplot
-        monkeypatch.setitem(sys.modules, "matplotlib", mpl)
-        monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
-
+        calls = stub_matplotlib(monkeypatch)
         an = self.completed_analysis(runner, tmp_path)
         rep = tmp_path / "rep"
         res = run_cli(runner, ["report", str(an), "--out", str(rep), "--render"])
@@ -605,7 +588,8 @@ class TestReport:
         raw = np.load(an / "raw_series.npy")
         power = power_spectrum(np.fft.fft(raw))
         nz = np.flatnonzero(power > 0)
-        dense = load_grid(an / "bispectrum.npz").dense()
+        csv = json.loads((an / "manifest.json").read_text())["inputs"][0]
+        dense = analyze(read_series_csv(csv), segments=32)[0].dense()
         meta = {"metadata": {"Software": ""}}
         assert calls == [
             ("use", None, ["Agg"], {}),
@@ -646,9 +630,82 @@ class TestReport:
         files = {p["name"]: p["file"] for p in index["panels"]}
         files["verdict"] = index["verdict_file"]
         expected = {"raw": an / "raw_series.npy", "spectrum": an / "raw_series.npy",
-                    "bicoherence_heatmap": an / "bispectrum.npz", "verdict": an / "hotspots.txt"}
+                    "bicoherence_heatmap": an / "raw_series.npy", "verdict": an / "hotspots.txt"}
         assert {k: (r1 / f).resolve() for k, f in files.items()} == {
             k: f.resolve() for k, f in expected.items()}
+        # the heatmap's grid is that of the analysis: 32 segments of 1024
+        assert index["panels"][-1] == {
+            "name": "bicoherence_heatmap", "file": files["bicoherence_heatmap"],
+            "kind": "bicoherence", "params": {"segment_length": 1024, "overlap_fraction": 0.0,
+                                              "window": "rectangular", "detrend": "demean"}}
+
+    @pytest.mark.parametrize("source", ["triad", "ohlc"])
+    def test_rendered_heatmap_is_library_map(self, runner, tmp_path, monkeypatch, source):
+        # the paper's triad (seed 42, 64 x 4096), and OHLCV returns under hann with overlap
+        if source == "triad":
+            out = tmp_path / "triad"
+            assert run_cli(runner, [
+                "generate", "triad", "--omega-a", "0.22", "--omega-b", "0.375",
+                "--n", "262144", "--phase-block", "4096", "--seed", "42", "--out", str(out),
+            ]).exit_code == 0
+            path, flags = out / "series.csv", ["--segments", "64"]
+            grid, _ = analyze(read_series_csv(path), segments=64)
+        else:
+            path = write_ohlc_csv(tmp_path)
+            flags = ["--ohlc", "--transform", "log_return", "--segment-length", "256",
+                     "--window", "hann", "--overlap", "0.5"]
+            series = build_series(load_ohlc_csv(path)[0], transform="log_return")
+            grid, _ = analyze(series, 256, overlap_fraction=0.5, window="hann")
+        an, rep = tmp_path / "an", tmp_path / "rep"
+        assert run_cli(runner, ["analyze", str(path), "--out", str(an)] + flags).exit_code == 0
+        calls = stub_matplotlib(monkeypatch)
+        assert run_cli(runner, ["report", str(an), "--out", str(rep), "--render"]).exit_code == 0
+        drawn = [args for name, _, args, _ in calls if name == "imshow"]
+        assert drawn == [[digest(grid.dense())]]
+
+
+def digest(x):
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, hashlib.sha256(x.tobytes()).hexdigest()
+    return x
+
+
+def stub_matplotlib(monkeypatch):
+    """Install a stub matplotlib that records every call, with each array as a
+    digest, in the list it returns."""
+    calls = []
+
+    def recorder(name, figure=None):
+        def call(*args, **kwargs):
+            calls.append((name, figure, [digest(a) for a in args],
+                          {k: digest(v) for k, v in kwargs.items()}))
+        return call
+
+    class Figure:
+        def __init__(self, number):
+            self.number = number
+            self.savefig = recorder("savefig", number)
+
+    class Axes:
+        def __init__(self, number):
+            self.number = number
+
+        def __getattr__(self, name):
+            return recorder(name, self.number)
+
+    def subplots(*args, **kwargs):
+        recorder("subplots")(*args, **kwargs)
+        number = sum(c[0] == "subplots" for c in calls)
+        return Figure(number), Axes(number)
+
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    pyplot.subplots = subplots
+    pyplot.close = lambda fig: calls.append(("close", fig.number, [], {}))
+    mpl = types.ModuleType("matplotlib")
+    mpl.use, mpl.pyplot = recorder("use"), pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", mpl)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    return calls
 
 
 @pytest.mark.parametrize("command", ["analyze", "generate noise", "simulate", "report"])

@@ -356,6 +356,14 @@ class TestHandMadeState:
         with pytest.raises(CflViolation, match="at step 1"):
             step(dataclasses.replace(s, u=100 * s.u), self.config)
 
+    def test_stepped_field_is_read_only(self):
+        # an in-place change would be stepped as the old field, whose spectrum the state keeps
+        s, twin = self.stepped(), self.stepped()
+        with pytest.raises(ValueError, match="read-only"):
+            s.u *= 2
+        assert s.u.tobytes() == twin.u.tobytes()
+        assert step(s, self.config).u.tobytes() == step(twin, self.config).u.tobytes()
+
     def test_spectrum_is_not_an_argument(self):
         s = self.stepped()
         with pytest.raises(TypeError):
