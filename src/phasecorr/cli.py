@@ -16,6 +16,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__
 from .errors import BlowUp, CflViolation, FileUnreadable, PhasecorrError
@@ -251,7 +252,9 @@ def cmd_simulate(ctx, equation, n, length, dt, nu, forcing, steps, probe_index,
 def cmd_analyze(ctx, input_path, ohlc, price_field, transform, segments, segment_length,
                 overlap, window, detrend, threshold, min_segments, out):
     """Run the full spectral analysis on a series and print the verdict."""
-    if not ohlc and {"price_field": price_field, "transform": transform} != _SERIES_DEFAULTS:
+    # a value from the command line or --config counts as given, even the default one
+    if not ohlc and any(ctx.get_parameter_source(name) is not ParameterSource.DEFAULT
+                        for name in _SERIES_DEFAULTS):
         raise click.UsageError("--field and --transform apply only with --ohlc")
     try:
         if ohlc:
@@ -287,8 +290,9 @@ REPORT_PANELS = (
 )
 
 
-def _grid_params(path: Path) -> dict:
-    """The ``segmented_bispectrum`` arguments of an analysis, from its manifest."""
+def _grid_params(path: Path, n_samples: int) -> dict:
+    """The ``segmented_bispectrum`` arguments of an analysis of ``n_samples``
+    samples, from its manifest."""
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
         config = manifest["config"]
@@ -296,6 +300,9 @@ def _grid_params(path: Path) -> dict:
                   "overlap_fraction": config["overlap"], "window": config["window"],
                   "detrend": config["detrend"]}
         _check_grid_params(**params)
+        if params["segment_length"] > n_samples:
+            raise ValueError(f"segment_length {params['segment_length']} > series length "
+                             f"{n_samples}")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         # a manifest written before the grid was dropped records no segment_length
         raise FileUnreadable(f"{path} gives no grid parameters ({type(exc).__name__}: "
@@ -325,8 +332,7 @@ def cmd_report(ctx, analysis_dir, out, render):
             click.echo(f"missing input file: {path}", err=True)
             sys.exit(2)
     try:
-        check_array(src / "raw_series.npy")
-        params = _grid_params(src / "manifest.json")
+        params = _grid_params(src / "manifest.json", check_array(src / "raw_series.npy"))
     except PhasecorrError as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(2)

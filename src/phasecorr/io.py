@@ -55,9 +55,9 @@ def save_array(path: str | Path, values: np.ndarray) -> None:
         np.save(fh, np.asarray(values, dtype=np.float64), allow_pickle=False)
 
 
-def check_array(path: str | Path) -> None:
-    """Raise ``FileUnreadable`` unless ``path`` is a 1-D float64 ``.npy`` file, as
-    ``save_array`` writes a series, whose memory map ``TimeSeries`` accepts."""
+def check_array(path: str | Path) -> int:
+    """The length of the 1-D float64 ``.npy`` file at ``path``, as ``save_array``
+    writes a series; ``FileUnreadable`` unless ``TimeSeries`` accepts its memory map."""
     try:
         array = np.load(path, mmap_mode="r", allow_pickle=False)
     except (OSError, EOFError, ValueError) as exc:
@@ -72,6 +72,7 @@ def check_array(path: str | Path) -> None:
         TimeSeries(array)
     except (LengthTooShort, NonFiniteInput) as exc:
         raise FileUnreadable(f"{path}: {exc}") from exc
+    return len(array)
 
 
 def format_hotspot_report(report: HotspotReport) -> str:

@@ -12,9 +12,10 @@ import contextlib
 import csv
 import gc
 import math
+import warnings
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import compress, islice, zip_longest
+from itertools import islice, zip_longest
 from pathlib import Path
 from typing import Sequence
 
@@ -40,6 +41,15 @@ _TRANSFORMS = ("raw", "demean", "log_return")
 _TS_FORMATS = ("%Y-%m-%d %H:%M", "%Y-%m-%d %H:%M:%S")
 # rows parsed at a time: bounds the Python objects alive at once
 _CHUNK_ROWS = 1 << 16
+# characters numpy's reader keeps of a timestamp cell: a cell that fills them
+# all may have been cut short
+_STAMP_WIDTH = 20
+_BULK_DTYPE = np.dtype([("datetime", f"U{_STAMP_WIDTH}"),
+                        *((name, np.float64) for name in _PRICE_FIELDS)])
+# bytes on which numpy's reader and csv.reader or float part ways: numpy drops
+# the NULs that end a cell and reads \x1c-\x1f beside a number as spaces; in
+# UTF-8 these bytes stand only for these characters
+_BULK_UNSAFE = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 # character positions of the exact "YYYY-MM-DD HH:MM[:SS]" layout
 _TS_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15]
@@ -98,18 +108,20 @@ def _parse_column(cells: Sequence[str], dtype, missing) -> np.ndarray:
         return out
 
 
-def _parse_timestamps(cells: Sequence[str]) -> np.ndarray:
+def _parse_timestamps(stamps) -> np.ndarray:
     """datetime64[s] of each cell, NaT where ``_parse_timestamp`` gives None.
 
-    Cells in the exact ``YYYY-MM-DD HH:MM`` or ``YYYY-MM-DD HH:MM:SS`` layout
-    with a year after 0 are parsed by numpy, which for this layout accepts
-    and rejects the field values ``strptime`` does; any other cell goes
-    through ``_parse_timestamp``, so forms such as ``2020-1-6 9:17`` give
-    what ``strptime`` gives.
+    ``stamps`` is a ``U`` array, or strings numpy makes one of, holding each
+    cell whole; numpy's strings drop trailing NULs.  Cells in the exact
+    ``YYYY-MM-DD HH:MM`` or ``YYYY-MM-DD HH:MM:SS`` layout with a year after 0
+    are parsed by numpy, which for this layout accepts and rejects the field
+    values ``strptime`` does; any other cell goes through ``_parse_timestamp``,
+    so forms such as ``2020-1-6 9:17`` give what ``strptime`` gives.
     """
-    n = len(cells)
-    length = np.fromiter(map(len, cells), np.intp, n)
-    chars = np.array(cells, dtype="U19").view(np.int32).reshape(n, 19)
+    stamps = np.asarray(stamps)
+    n = len(stamps)
+    length = np.char.str_len(stamps)
+    chars = stamps.astype("U19").view(np.int32).reshape(n, 19)
     is_digit = (chars >= ord("0")) & (chars <= ord("9"))
     ok = ((length == 16) | (length == 19)) & is_digit[:, _TS_DIGITS].all(axis=1)
     for pos, sep in _TS_SEPARATORS.items():
@@ -117,9 +129,9 @@ def _parse_timestamps(cells: Sequence[str]) -> np.ndarray:
     ok &= (length == 16) | ((chars[:, 16] == ord(":")) & is_digit[:, 17] & is_digit[:, 18])
     ok &= (chars[:, :4] != ord("0")).any(axis=1)  # numpy reads year 0, strptime does not
     ts = np.empty(n, "datetime64[s]")
-    ts[ok] = _parse_column(list(compress(cells, ok)), "datetime64[s]", "NaT")
+    ts[ok] = _parse_column(stamps[ok].tolist(), "datetime64[s]", "NaT")  # str parses faster
     for i in np.flatnonzero(~ok).tolist():
-        ts[i] = _parse_timestamp(cells[i]) or "NaT"
+        ts[i] = _parse_timestamp(stamps[i]) or "NaT"
     return ts
 
 
@@ -142,6 +154,79 @@ def _gc_paused():
             gc.enable()
 
 
+def _valid_rows(ts: np.ndarray, prices: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The seconds and prices of a chunk's valid rows."""
+    valid = ~np.isnat(ts) & _valid_prices(*prices)
+    return (ts[valid].view(np.int64), *(p[valid] for p in prices))
+
+
+def _bulk_safe(path: Path) -> bool:
+    """False if the file holds a byte of ``_BULK_UNSAFE``."""
+    with open(path, "rb") as raw:
+        for block in iter(lambda: raw.read(1 << 18), b""):
+            if any(byte in block for byte in _BULK_UNSAFE):
+                return False
+    return True
+
+
+def _read_bulk(f, columns: list[int]) -> tuple[int, list] | None:
+    """Rows read and valid chunks of the rest of ``f``, through numpy's reader.
+
+    None where numpy rejects a row (a missing cell, a number it cannot parse,
+    a whitespace-only line, text that is not UTF-8) or a timestamp cell may
+    have been cut short.  It returns rather than raises, so the chunks read
+    by then are freed before the caller reads the file again.
+    """
+    n_in, chunks = 0, []
+    with warnings.catch_warnings():
+        # numpy says when a line is blank, or a read after the last row finds nothing
+        warnings.filterwarnings("ignore", r"(Input line \d+|loadtxt: input) contained no data",
+                                UserWarning)
+        try:
+            while len(block := np.loadtxt(f, _BULK_DTYPE, delimiter=",", quotechar='"',
+                                          comments=None, usecols=columns,
+                                          max_rows=_CHUNK_ROWS, ndmin=1)):
+                stamps = block["datetime"]
+                if (np.char.str_len(stamps) == _STAMP_WIDTH).any():
+                    return None
+                n_in += len(block)
+                chunks.append(_valid_rows(_parse_timestamps(stamps),
+                                          [block[name] for name in _PRICE_FIELDS]))
+        except ValueError:
+            return None
+    return n_in, chunks
+
+
+def _read_rows(f, columns: list[int]) -> tuple[int, list]:
+    """Rows read and valid chunks of ``f`` after its header, through ``csv.reader``
+    from the start of the file."""
+    f.seek(0)
+    reader = csv.reader(f)
+    next(reader)
+    ts_col, *price_cols = columns
+    width = max(columns) + 1
+    n_in, chunks = 0, []
+    while rows := list(islice(reader, _CHUNK_ROWS)):
+        rows = [r for r in rows if r]
+        if not rows:
+            continue
+        n_in += len(rows)
+        cols = list(islice(zip_longest(*rows, fillvalue=""), width))
+        del rows
+        cols += [("",) * len(cols[0])] * (width - len(cols))
+        cells = cols[ts_col]
+        stamps = np.array(cells, f"U{_STAMP_WIDTH}")
+        ts = _parse_timestamps(stamps)
+        # cells the fixed width cut short or stripped of trailing NULs
+        cut = np.fromiter(map(len, cells), np.intp, len(cells)) != np.char.str_len(stamps)
+        for i in np.flatnonzero(cut).tolist():
+            ts[i] = _parse_timestamp(cells[i]) or "NaT"
+        prices = [_parse_column(cols[i], np.float64, math.nan) for i in price_cols]
+        del cols
+        chunks.append(_valid_rows(ts, prices))
+    return n_in, chunks
+
+
 def load_ohlc_csv(
     path: str | Path,
     schema: dict[str, str] | None = None,
@@ -156,17 +241,16 @@ def load_ohlc_csv(
     ``newline=""``: only CR, LF and CRLF end a row, blank lines are skipped,
     missing cells make a row invalid, extra cells are ignored, and a name
     that appears twice in the header means its last column.
+    The rows are read by numpy's reader; a file it rejects, or might read
+    differently, is read again from the start by ``csv.reader``.
     """
     colmap = dict(DEFAULT_SCHEMA)
     if schema:
         colmap.update(schema)
     path = Path(path)
-    n_in = 0
-    chunks: list[tuple[np.ndarray, ...]] = []  # seconds and prices of each chunk's valid rows
     try:
         with open(path, encoding="utf-8-sig", newline="") as f, _gc_paused():
-            reader = csv.reader(f)
-            header = next(reader, None)
+            header = next(csv.reader(f), None)
             if header is None:
                 raise FileUnreadable(f"{path} has no header row")
             position = {name: i for i, name in enumerate(header)}
@@ -174,23 +258,9 @@ def load_ohlc_csv(
                 if column not in position:
                     raise SchemaMismatch(
                         f"column {column!r} (for {logical!r}) missing from {path}")
-            ts_col = position[colmap["datetime"]]
-            price_cols = [position[colmap[name]] for name in _PRICE_FIELDS]
-            width = max(ts_col, *price_cols) + 1
-
-            while rows := list(islice(reader, _CHUNK_ROWS)):
-                rows = [r for r in rows if r]
-                if not rows:
-                    continue
-                n_in += len(rows)
-                cols = list(islice(zip_longest(*rows, fillvalue=""), width))
-                del rows
-                cols += [("",) * len(cols[0])] * (width - len(cols))
-                ts = _parse_timestamps(cols[ts_col])
-                prices = [_parse_column(cols[i], np.float64, math.nan) for i in price_cols]
-                del cols
-                valid = ~np.isnat(ts) & _valid_prices(*prices)
-                chunks.append((ts[valid].view(np.int64), *(p[valid] for p in prices)))
+            columns = [position[colmap[name]] for name in ("datetime", *_PRICE_FIELDS)]
+            read = _bulk_safe(path) and _read_bulk(f, columns)
+            n_in, chunks = read or _read_rows(f, columns)
     except (OSError, UnicodeDecodeError) as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
 

@@ -136,6 +136,7 @@ class TestConfigFile:
         (["analyze", "{csv}"], "min_segments=-1\n", "--min-segments"),
         (["analyze", "{csv}"], "price_field=mid\n", "--field"),
         (["analyze", "{csv}"], "transform=log_return\n", "--transform"),
+        (["analyze", "{csv}"], "price_field=close\n", "--field"),
         (["analyze", "{csv}"], "segments=2\nsegment_length=64\n", "--segment-length"),
         (["analyze", "{csv}"], "overlap=1.5\n", "--overlap"),
         (["analyze", "{csv}"], "segment_length=96\n", "--segment-length"),
@@ -146,8 +147,8 @@ class TestConfigFile:
         (["analyze", "{csv}"], "min-segments=4\nmin_segments=32\n", "'min_segments' given twice"),
     ], ids=["choice", "float", "float-triad", "bool", "int", "segments-zero",
             "min-segments-negative", "field-without-ohlc", "transform-without-ohlc",
-            "both-segment-options", "overlap", "segment-length", "threshold-one", "unknown-key",
-            "no-equals", "repeated-key", "repeated-key-spelling"])
+            "default-field-without-ohlc", "both-segment-options", "overlap", "segment-length",
+            "threshold-one", "unknown-key", "no-equals", "repeated-key", "repeated-key-spelling"])
     def test_bad_value_exit_2(self, runner, tmp_path, command, text, name):
         csv = write_noise_csv(runner, tmp_path, n=256)
         out = tmp_path / "out"
@@ -327,6 +328,7 @@ class TestAnalyze:
         ["--field", "mid"],
         ["--transform", "log_return"],
         ["--transform", "log_return", "--field", "open"],
+        ["--field", "close", "--transform", "raw"],
         ["--segments", "2", "--segment-length", "64"],
         ["--overlap", "1"],
         ["--overlap", "-0.25"],
@@ -336,7 +338,8 @@ class TestAnalyze:
     ], ids=["threshold-nan", "threshold-negative", "threshold-one", "threshold-five",
             "segments-negative", "segments-zero",
             "min-segments-negative", "field-without-ohlc", "transform-without-ohlc",
-            "field-and-transform-without-ohlc", "both-segment-options", "overlap-one",
+            "field-and-transform-without-ohlc", "default-field-transform",
+            "both-segment-options", "overlap-one",
             "overlap-negative", "overlap-nan", "segment-length-not-power-of-two",
             "segment-length-below-8"])
     def test_bad_value_exit_2(self, runner, tmp_path, flags):
@@ -348,9 +351,8 @@ class TestAnalyze:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
-        ["--field", "close", "--transform", "raw"],
         ["--segment-length", "64"],
-    ], ids=["default-field-transform", "segment-length"])
+    ], ids=["segment-length"])
     def test_series_options_accepted(self, runner, tmp_path, flags):
         csv = write_noise_csv(runner, tmp_path, n=256)
         res = run_cli(runner, ["analyze", str(csv), "--out", str(tmp_path / "an")] + flags)
@@ -528,6 +530,19 @@ class TestReport:
         res = runner.invoke(main, ["report", str(an), "--out", str(rep)])
         assert res.exit_code == 2
         assert "input error:" in res.output and "manifest.json" in res.output
+        assert not rep.exists()
+
+    @pytest.mark.parametrize("render", [[], ["--render"]], ids=["no-render", "render"])
+    def test_segment_length_beyond_series_exit_2(self, runner, tmp_path, render):
+        # a hand-edited length no grid of this series can have
+        an = self.completed_analysis(runner, tmp_path)
+        path = an / "manifest.json"
+        n = len(np.load(an / "raw_series.npy"))
+        path.write_text(json.dumps({**json.loads(path.read_text()), "segment_length": 2 * n}))
+        rep = tmp_path / "rep"
+        res = runner.invoke(main, ["report", str(an), "--out", str(rep)] + render)
+        assert res.exit_code == 2
+        assert "input error:" in res.output and f"series length {n}" in res.output
         assert not rep.exists()
 
     def test_old_grid_layout_exit_2(self, runner, tmp_path):

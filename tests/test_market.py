@@ -1,3 +1,5 @@
+import csv
+import warnings
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -269,6 +271,9 @@ ODD_STAMPS = [
     "2020/01/06 09:15", "20-01-06 09:15",
 ]
 ODD_NUMBERS = ["nan", "inf", "-inf", "1_000", " 100.25 ", "", "abc", "1e2", "-5", "0", "-0.0"]
+# odd cells numpy's reader parses as numbers, as float does
+BULK_NUMBERS = ["nan", "inf", "-inf", " 100.25 ", "\xa0100.5\xa0", "1e400", "-1e400", "1e2", "-5",
+                "0", "-0.0", "+.5", "Infinity", "nAn"]
 
 
 def _fuzz_stamp(rng, t: datetime) -> str:
@@ -288,18 +293,23 @@ def _fuzz_stamp(rng, t: datetime) -> str:
     return f"{t:%Y-%m-%d %H:%M}"
 
 
-def _fuzz_number(rng, x: float) -> str:
+def _fuzz_number(rng, x: float, odd=ODD_NUMBERS) -> str:
     r = rng.random()
     if r < 0.04:
-        return str(rng.choice(ODD_NUMBERS))
+        return str(rng.choice(odd))
     if r < 0.06:
         return f'"{x!r}"'
     return repr(x) if r < 0.5 else f"{x:.4f}"
 
 
-def write_fuzz_file(path, seed: int, n_rows: int = 150):
-    """Seeded OHLCV rows with every kind of defect the loader must handle."""
+def write_fuzz_file(path, seed: int, n_rows: int = 150, bulk: bool = False):
+    """Seeded OHLCV rows with every kind of defect the loader must handle.
+
+    With ``bulk``, only the defects numpy's reader reads: no short or long
+    rows, whitespace-only lines or number cells it cannot parse.
+    """
     rng = np.random.default_rng(seed)
+    odd = BULK_NUMBERS if bulk else ODD_NUMBERS
     t = datetime(int(rng.integers(1990, 2030)), int(rng.integers(1, 13)), 28, 23, 45)
     lines = ["datetime,open,high,low,close,volume"]
     for _ in range(n_rows):
@@ -313,18 +323,32 @@ def write_fuzz_file(path, seed: int, n_rows: int = 150):
         # else: the same minute again
         o, c = 100.0 + rng.normal(size=2)
         h, l = max(o, c) + rng.random(), min(o, c) - rng.random()
-        cells = [_fuzz_stamp(rng, t)] + [_fuzz_number(rng, float(x)) for x in (o, h, l, c)]
-        cells.append(_fuzz_number(rng, float(rng.integers(0, 5000))))
-        shape = rng.random()
+        cells = [_fuzz_stamp(rng, t)] + [_fuzz_number(rng, float(x), odd) for x in (o, h, l, c)]
+        cells.append(_fuzz_number(rng, float(rng.integers(0, 5000)), odd))
+        shape = 1.0 if bulk else rng.random()
         if shape < 0.03:
             cells = cells[:int(rng.integers(1, 6))]
         elif shape < 0.06:
             cells += ["x"] * int(rng.integers(1, 3))
         if rng.random() < 0.03:
-            lines.append("" if rng.random() < 0.7 else " ")
+            lines.append("" if rng.random() < 0.7 or bulk else " ")
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+@pytest.fixture
+def csv_reads(monkeypatch):
+    """One entry for each file ``load_ohlc_csv`` reads again through ``csv.reader``."""
+    calls = []
+    read_rows = market._read_rows
+
+    def spy(*args):
+        calls.append(args)
+        return read_rows(*args)
+
+    monkeypatch.setattr(market, "_read_rows", spy)
+    return calls
 
 
 class TestColumnarMatchesLegacy:
@@ -339,6 +363,103 @@ class TestColumnarMatchesLegacy:
             for key in seen:
                 seen[key] += getattr(report, key)
         assert min(seen.values()) > 20, seen
+
+    @pytest.mark.parametrize("chunk_rows", [None, 7, 1])
+    def test_fuzz_bulk(self, tmp_path, monkeypatch, csv_reads, chunk_rows):
+        # every file numpy's reader takes, save those with a stamp it might cut short
+        if chunk_rows is not None:
+            monkeypatch.setattr(market, "_CHUNK_ROWS", chunk_rows)
+        seen = dict.fromkeys(("n_dropped_invalid", "n_dropped_duplicate",
+                              "n_dropped_out_of_order", "n_gaps"), 0)
+        n_bulk = 0
+        for seed in range(120):
+            path = write_fuzz_file(tmp_path / f"f{seed}.csv", seed, bulk=True)
+            with open(path, newline="") as f:
+                cut = any(len(row[0]) >= market._STAMP_WIDTH for row in csv.reader(f) if row)
+            report = assert_matches_legacy(path)
+            assert len(csv_reads) == cut
+            csv_reads.clear()
+            n_bulk += not cut
+            for key in seen:
+                seen[key] += getattr(report, key)
+        assert n_bulk > 60
+        assert min(seen.values()) > 20, seen
+
+    @pytest.mark.parametrize("row", [
+        "2020-01-06 09:15,100,101", " ", "2020-01-06 09:15,,101,99,100,1",
+        "2020-01-06 09:15,abc,101,99,100,1",
+    ], ids=["short", "whitespace-only", "empty-number", "not-a-number"])
+    @pytest.mark.parametrize("where", [1, 75, -1], ids=["first", "middle", "last"])
+    def test_ragged_row_falls_back(self, tmp_path, monkeypatch, csv_reads, row, where):
+        monkeypatch.setattr(market, "_CHUNK_ROWS", 16)
+        path = write_fuzz_file(tmp_path / "ragged.csv", 3, bulk=True)
+        lines = path.read_text().splitlines()
+        lines.insert(where if where > 0 else len(lines), row)
+        path.write_text("\n".join(lines) + "\n")
+        assert_matches_legacy(path)
+        assert len(csv_reads) == 1
+
+    @pytest.mark.parametrize("stamp, kept", [
+        ("2020-01-06 09:15    x", False),  # its first 20 characters strip to a valid stamp
+        ("2020-01-06        09:15", True),  # valid, but not in its first 20 characters
+        (" 2020-01-06 09:15:00 ", True),
+    ], ids=["cut-valid", "cut-invalid", "padded"])
+    def test_long_stamp_falls_back(self, tmp_path, csv_reads, stamp, kept):
+        rows = [f"{stamp},100,101,99,100,1", "2020-01-06 09:16,100,101,99,100,1"]
+        path = write_fixture(tmp_path / "long.csv", rows)
+        report = assert_matches_legacy(path)
+        assert report.n_records_out == 1 + kept
+        assert len(csv_reads) == 1
+
+    @pytest.mark.parametrize("blank", [False, True], ids=["no-blank", "blank"])
+    def test_whole_chunks_warn_nothing(self, tmp_path, monkeypatch, csv_reads, blank):
+        # the read after the last chunk finds no data; numpy would warn of that
+        # and of a blank line
+        monkeypatch.setattr(market, "_CHUNK_ROWS", 3)
+        rows = VALID_ROWS + [f"2020-01-06 09:{m},100,101,99,100,1" for m in (18, 19, 20)]
+        path = write_fixture(tmp_path / "whole.csv", rows[:3] + [""] * blank + rows[3:])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, report = load_ohlc_csv(path)
+        assert report.n_records_out == 6
+        assert not csv_reads
+
+    def test_defects_straddle_chunk_edges_bulk(self, tmp_path, monkeypatch, csv_reads):
+        monkeypatch.setattr(market, "_CHUNK_ROWS", 2)
+        rows = [
+            "2020-01-06 09:15,100,101,99,100,1",
+            "2020-01-06 09:16,100,101,99,100,1",
+            "2020-01-06 09:16,100,101,99,100,1",  # duplicate of the row before the edge
+            "2020-01-06 09:14,100,101,99,100,1",  # out of order
+            "",
+            "",  # blank lines between chunks
+            "2020-01-06 09:20,100,101,99,100,1",  # gap from 09:16 across edges
+            "2020-01-06 09:21,100,99,101,100,1",  # high below low
+            "2020-01-06 09:21,nan,101,99,100,1",  # nan
+            "2020-01-06 09:21,100,101,99,100,1",
+            "2020-01-06 09:22,100,101,99,100,1",
+        ]
+        path = write_fixture(tmp_path / "edges.csv", rows)
+        report = assert_matches_legacy(path)
+        assert vars(report) == dict(
+            n_records_in=9, n_records_out=5, n_gaps=1, n_dropped_invalid=2,
+            sessions_detected=2, n_dropped_duplicate=1, n_dropped_out_of_order=1)
+        assert not csv_reads
+
+    @pytest.mark.parametrize("row", [
+        "2020-01-06 09:15\x00,100,101,99.5,100.5,1000",
+        "2020-01-06 09:15,\x1c100,101,99.5,100.5,1000",
+        "2020-01-06 09:15,100,101\x1f,99.5,100.5,1000",
+    ], ids=["nul-ends-stamp", "fs-before-number", "us-after-number"])
+    def test_unsafe_byte_falls_back(self, tmp_path, csv_reads, row):
+        # numpy's reader drops a NUL that ends a stamp and reads \x1c-\x1f beside a
+        # number as spaces; strptime and float do neither (the old loader, which
+        # split rows at \x1c, cannot judge)
+        path = write_fixture(tmp_path / "unsafe.csv", [row] + VALID_ROWS[1:])
+        ticks, report = load_ohlc_csv(path)
+        assert (report.n_records_in, report.n_dropped_invalid) == (3, 1)
+        assert ticks.timestamps.tolist() == [datetime(2020, 1, 6, 9, m) for m in (16, 17)]
+        assert len(csv_reads) == 1
 
     def test_defects_straddle_chunk_edges(self, tmp_path, monkeypatch):
         monkeypatch.setattr(market, "_CHUNK_ROWS", 2)
