@@ -19,7 +19,7 @@ import numpy as np
 from click.core import ParameterSource
 
 from . import __version__
-from .errors import BlowUp, CflViolation, FileUnreadable, PhasecorrError
+from .errors import BlowUp, CflViolation, FileUnreadable, PhasecorrError, SegmentTooLong
 from .io import check_array, format_hotspot_report, read_series_csv, save_array, write_series_csv
 from .market import _SERIES_FIELDS, _TRANSFORMS, build_series, load_ohlc_csv
 from .simulator import _EQUATIONS, SolverConfig, run as run_simulation
@@ -299,11 +299,8 @@ def _grid_params(path: Path, n_samples: int) -> dict:
         params = {"segment_length": manifest["segment_length"],
                   "overlap_fraction": config["overlap"], "window": config["window"],
                   "detrend": config["detrend"]}
-        _check_grid_params(**params)
-        if params["segment_length"] > n_samples:
-            raise ValueError(f"segment_length {params['segment_length']} > series length "
-                             f"{n_samples}")
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        _check_grid_params(n_samples, **params)
+    except (OSError, ValueError, KeyError, TypeError, SegmentTooLong) as exc:
         # a manifest written before the grid was dropped records no segment_length
         raise FileUnreadable(f"{path} gives no grid parameters ({type(exc).__name__}: "
                              f"{exc}); run analyze again") from exc

@@ -15,9 +15,9 @@ import math
 import warnings
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import islice, zip_longest
+from itertools import compress, islice, tee, zip_longest
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -108,20 +108,21 @@ def _parse_column(cells: Sequence[str], dtype, missing) -> np.ndarray:
         return out
 
 
-def _parse_timestamps(stamps) -> np.ndarray:
+def _parse_timestamps(cells: Sequence[str] | np.ndarray) -> np.ndarray:
     """datetime64[s] of each cell, NaT where ``_parse_timestamp`` gives None.
 
-    ``stamps`` is a ``U`` array, or strings numpy makes one of, holding each
-    cell whole; numpy's strings drop trailing NULs.  Cells in the exact
-    ``YYYY-MM-DD HH:MM`` or ``YYYY-MM-DD HH:MM:SS`` layout with a year after 0
-    are parsed by numpy, which for this layout accepts and rejects the field
-    values ``strptime`` does; any other cell goes through ``_parse_timestamp``,
-    so forms such as ``2020-1-6 9:17`` give what ``strptime`` gives.
+    ``cells`` are strings, or a ``U`` array taken as it holds them (numpy's
+    strings drop trailing NULs and cut a cell to their width).  Cells
+    in the exact ``YYYY-MM-DD HH:MM`` or ``YYYY-MM-DD HH:MM:SS`` layout with a
+    year after 0 are parsed by numpy, which for this layout accepts and
+    rejects the field values ``strptime`` does; any other cell goes through
+    ``_parse_timestamp``, so forms such as ``2020-1-6 9:17`` give what
+    ``strptime`` gives.
     """
-    stamps = np.asarray(stamps)
-    n = len(stamps)
-    length = np.char.str_len(stamps)
-    chars = stamps.astype("U19").view(np.int32).reshape(n, 19)
+    n = len(cells)
+    is_array = isinstance(cells, np.ndarray)
+    length = np.char.str_len(cells) if is_array else np.fromiter(map(len, cells), np.intp, n)
+    chars = np.array(cells, dtype="U19").view(np.int32).reshape(n, 19)
     is_digit = (chars >= ord("0")) & (chars <= ord("9"))
     ok = ((length == 16) | (length == 19)) & is_digit[:, _TS_DIGITS].all(axis=1)
     for pos, sep in _TS_SEPARATORS.items():
@@ -129,9 +130,11 @@ def _parse_timestamps(stamps) -> np.ndarray:
     ok &= (length == 16) | ((chars[:, 16] == ord(":")) & is_digit[:, 17] & is_digit[:, 18])
     ok &= (chars[:, :4] != ord("0")).any(axis=1)  # numpy reads year 0, strptime does not
     ts = np.empty(n, "datetime64[s]")
-    ts[ok] = _parse_column(stamps[ok].tolist(), "datetime64[s]", "NaT")  # str parses faster
+    # as str, which numpy parses faster than its own strings
+    kept = cells[ok].tolist() if is_array else list(compress(cells, ok))
+    ts[ok] = _parse_column(kept, "datetime64[s]", "NaT")
     for i in np.flatnonzero(~ok).tolist():
-        ts[i] = _parse_timestamp(stamps[i]) or "NaT"
+        ts[i] = _parse_timestamp(cells[i]) or "NaT"
     return ts
 
 
@@ -169,40 +172,46 @@ def _bulk_safe(path: Path) -> bool:
     return True
 
 
-def _read_bulk(f, columns: list[int]) -> tuple[int, list] | None:
-    """Rows read and valid chunks of the rest of ``f``, through numpy's reader.
+def _read_bulk(lines: Iterator[str],
+               columns: list[int]) -> tuple[int, list, Iterator[str] | None]:
+    """Rows read and valid chunks of ``lines`` through numpy's reader, and the
+    lines from the start of the first chunk it rejects, or None.
 
-    None where numpy rejects a row (a missing cell, a number it cannot parse,
-    a whitespace-only line, text that is not UTF-8) or a timestamp cell may
-    have been cut short.  It returns rather than raises, so the chunks read
-    by then are freed before the caller reads the file again.
+    numpy rejects a chunk holding a row with a missing cell, a number it
+    cannot parse or a whitespace-only line, and this reader one whose
+    timestamp cell may have been cut short.  Text that is not UTF-8 raises
+    ``UnicodeDecodeError``: the file yields no line after it.
     """
     n_in, chunks = 0, []
     with warnings.catch_warnings():
         # numpy says when a line is blank, or a read after the last row finds nothing
         warnings.filterwarnings("ignore", r"(Input line \d+|loadtxt: input) contained no data",
                                 UserWarning)
-        try:
-            while len(block := np.loadtxt(f, _BULK_DTYPE, delimiter=",", quotechar='"',
-                                          comments=None, usecols=columns,
-                                          max_rows=_CHUNK_ROWS, ndmin=1)):
-                stamps = block["datetime"]
-                if (np.char.str_len(stamps) == _STAMP_WIDTH).any():
-                    return None
-                n_in += len(block)
-                chunks.append(_valid_rows(_parse_timestamps(stamps),
-                                          [block[name] for name in _PRICE_FIELDS]))
-        except ValueError:
-            return None
-    return n_in, chunks
+        while True:
+            # ``replay`` keeps the lines numpy reads from here, until it is dropped
+            lines, replay = tee(lines)
+            try:
+                block = np.loadtxt(lines, _BULK_DTYPE, delimiter=",", quotechar='"',
+                                   comments=None, usecols=columns, max_rows=_CHUNK_ROWS,
+                                   ndmin=1)
+            except UnicodeDecodeError:
+                raise
+            except ValueError:
+                return n_in, chunks, replay
+            if not len(block):
+                return n_in, chunks, None
+            stamps = block["datetime"]
+            if (np.char.str_len(stamps) == _STAMP_WIDTH).any():
+                return n_in, chunks, replay
+            del replay
+            n_in += len(block)
+            chunks.append(_valid_rows(_parse_timestamps(stamps),
+                                      [block[name] for name in _PRICE_FIELDS]))
 
 
-def _read_rows(f, columns: list[int]) -> tuple[int, list]:
-    """Rows read and valid chunks of ``f`` after its header, through ``csv.reader``
-    from the start of the file."""
-    f.seek(0)
-    reader = csv.reader(f)
-    next(reader)
+def _read_rows(lines: Iterator[str], columns: list[int]) -> tuple[int, list]:
+    """Rows read and valid chunks of ``lines``, through ``csv.reader``."""
+    reader = csv.reader(lines)
     ts_col, *price_cols = columns
     width = max(columns) + 1
     n_in, chunks = 0, []
@@ -214,13 +223,7 @@ def _read_rows(f, columns: list[int]) -> tuple[int, list]:
         cols = list(islice(zip_longest(*rows, fillvalue=""), width))
         del rows
         cols += [("",) * len(cols[0])] * (width - len(cols))
-        cells = cols[ts_col]
-        stamps = np.array(cells, f"U{_STAMP_WIDTH}")
-        ts = _parse_timestamps(stamps)
-        # cells the fixed width cut short or stripped of trailing NULs
-        cut = np.fromiter(map(len, cells), np.intp, len(cells)) != np.char.str_len(stamps)
-        for i in np.flatnonzero(cut).tolist():
-            ts[i] = _parse_timestamp(cells[i]) or "NaT"
+        ts = _parse_timestamps(cols[ts_col])
         prices = [_parse_column(cols[i], np.float64, math.nan) for i in price_cols]
         del cols
         chunks.append(_valid_rows(ts, prices))
@@ -241,8 +244,9 @@ def load_ohlc_csv(
     ``newline=""``: only CR, LF and CRLF end a row, blank lines are skipped,
     missing cells make a row invalid, extra cells are ignored, and a name
     that appears twice in the header means its last column.
-    The rows are read by numpy's reader; a file it rejects, or might read
-    differently, is read again from the start by ``csv.reader``.
+    The rows are read by numpy's reader, a chunk of ``_CHUNK_ROWS`` at a time;
+    from the first chunk it rejects, or might read differently, on, they are
+    read by ``csv.reader``.
     """
     colmap = dict(DEFAULT_SCHEMA)
     if schema:
@@ -259,8 +263,10 @@ def load_ohlc_csv(
                     raise SchemaMismatch(
                         f"column {column!r} (for {logical!r}) missing from {path}")
             columns = [position[colmap[name]] for name in ("datetime", *_PRICE_FIELDS)]
-            read = _bulk_safe(path) and _read_bulk(f, columns)
-            n_in, chunks = read or _read_rows(f, columns)
+            n_in, chunks, rest = _read_bulk(f, columns) if _bulk_safe(path) else (0, [], f)
+            if rest is not None:
+                n_rest, more = _read_rows(rest, columns)
+                n_in, chunks = n_in + n_rest, chunks + more
     except (OSError, UnicodeDecodeError) as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
 

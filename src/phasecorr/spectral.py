@@ -234,9 +234,12 @@ def _check_overlap(overlap_fraction: float) -> float:
     return overlap_fraction
 
 
-def _check_grid_params(segment_length: int, overlap_fraction: float, window: str,
-                       detrend: str) -> None:
-    """The rules on the parameters of ``segmented_bispectrum`` other than the series."""
+def _check_grid_params(n_samples: int, segment_length: int, overlap_fraction: float,
+                       window: str, detrend: str) -> None:
+    """The rules on the parameters of ``segmented_bispectrum`` on a series of
+    ``n_samples`` samples."""
+    if segment_length > n_samples:
+        raise SegmentTooLong(f"segment_length {segment_length} > series length {n_samples}")
     _check_segment_length(segment_length)
     _check_overlap(overlap_fraction)
     if window not in _WINDOWS:
@@ -283,10 +286,7 @@ def segmented_bispectrum(
     bicoherence read 0 and are not tested bins.
     """
     v = series.values
-    n = len(v)
-    if segment_length > n:
-        raise SegmentTooLong(f"segment_length {segment_length} > series length {n}")
-    _check_grid_params(segment_length, overlap_fraction, window, detrend)
+    _check_grid_params(len(v), segment_length, overlap_fraction, window, detrend)
 
     step = max(1, int(round(segment_length * (1.0 - overlap_fraction))))
     seg = np.lib.stride_tricks.sliding_window_view(v, segment_length)[::step]

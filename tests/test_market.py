@@ -105,6 +105,17 @@ class TestLoadOhlcCsv:
         with pytest.raises(FileUnreadable, match="cannot read"):
             load_ohlc_csv(path)
 
+    def test_not_utf8_after_chunks(self, tmp_path, monkeypatch):
+        # past the text the header read decodes, and some chunks into numpy's
+        # reader; the file yields no line after the bad byte
+        monkeypatch.setattr(market, "_CHUNK_ROWS", 64)
+        path = tmp_path / "bytes.csv"
+        path.write_bytes(b"datetime,open,high,low,close,volume\n"
+                         + (VALID_ROWS[0].encode() + b"\n") * 2000 + b"\xff\n"
+                         + VALID_ROWS[1].encode() + b"\n")
+        with pytest.raises(FileUnreadable, match="cannot read"):
+            load_ohlc_csv(path)
+
     def test_no_valid_rows(self, tmp_path):
         path = write_fixture(tmp_path / "junk.csv", ["garbage,1,2,3,4,5"])
         with pytest.raises(NoValidRows):
@@ -339,13 +350,14 @@ def write_fuzz_file(path, seed: int, n_rows: int = 150, bulk: bool = False):
 
 @pytest.fixture
 def csv_reads(monkeypatch):
-    """One entry for each file ``load_ohlc_csv`` reads again through ``csv.reader``."""
+    """The rows ``csv.reader`` reads, one entry each time ``load_ohlc_csv`` turns to it."""
     calls = []
     read_rows = market._read_rows
 
     def spy(*args):
-        calls.append(args)
-        return read_rows(*args)
+        n_in, chunks = read_rows(*args)
+        calls.append(n_in)
+        return n_in, chunks
 
     monkeypatch.setattr(market, "_read_rows", spy)
     return calls
@@ -394,10 +406,15 @@ class TestColumnarMatchesLegacy:
         monkeypatch.setattr(market, "_CHUNK_ROWS", 16)
         path = write_fuzz_file(tmp_path / "ragged.csv", 3, bulk=True)
         lines = path.read_text().splitlines()
-        lines.insert(where if where > 0 else len(lines), row)
+        at = where if where > 0 else len(lines)
+        lines.insert(at, row)
         path.write_text("\n".join(lines) + "\n")
-        assert_matches_legacy(path)
+        report = assert_matches_legacy(path)
+        # csv.reader takes over at the chunk numpy rejects, not at the top of the file
         assert len(csv_reads) == 1
+        n_bulk = report.n_records_in - csv_reads[0]
+        assert n_bulk % 16 == 0
+        assert csv_reads[0] <= 16 + sum(1 for line in lines[at:] if line)
 
     @pytest.mark.parametrize("stamp, kept", [
         ("2020-01-06 09:15    x", False),  # its first 20 characters strip to a valid stamp
