@@ -22,6 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import FileUnreadable, NoValidRows, SchemaMismatch
+from .io import _bulk_safe
 from .spectral import TimeSeries
 
 __all__ = [
@@ -46,11 +47,6 @@ _CHUNK_ROWS = 1 << 16
 _STAMP_WIDTH = 20
 _BULK_DTYPE = np.dtype([("datetime", f"U{_STAMP_WIDTH}"),
                         *((name, np.float64) for name in _PRICE_FIELDS)])
-# bytes on which numpy's reader and csv.reader or float part ways: numpy drops
-# the NULs that end a cell and reads \x1c-\x1f beside a number as spaces; in
-# UTF-8 these bytes stand only for these characters
-_BULK_UNSAFE = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-
 # character positions of the exact "YYYY-MM-DD HH:MM[:SS]" layout
 _TS_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15]
 _TS_SEPARATORS = {4: "-", 7: "-", 10: " ", 13: ":"}
@@ -163,15 +159,6 @@ def _valid_rows(ts: np.ndarray, prices: Sequence[np.ndarray]) -> tuple[np.ndarra
     return (ts[valid].view(np.int64), *(p[valid] for p in prices))
 
 
-def _bulk_safe(path: Path) -> bool:
-    """False if the file holds a byte of ``_BULK_UNSAFE``."""
-    with open(path, "rb") as raw:
-        for block in iter(lambda: raw.read(1 << 18), b""):
-            if any(byte in block for byte in _BULK_UNSAFE):
-                return False
-    return True
-
-
 def _read_bulk(lines: Iterator[str],
                columns: list[int]) -> tuple[int, list, Iterator[str] | None]:
     """Rows read and valid chunks of ``lines`` through numpy's reader, and the
@@ -267,7 +254,7 @@ def load_ohlc_csv(
             if rest is not None:
                 n_rest, more = _read_rows(rest, columns)
                 n_in, chunks = n_in + n_rest, chunks + more
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
 
     if not any(len(chunk[0]) for chunk in chunks):

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,6 +179,18 @@ def power_spectrum(F: np.ndarray) -> np.ndarray:
     return np.abs(F[: len(F) // 2 + 1]) ** 2
 
 
+# triple products (bins x segments) each worker of the kernel takes at least:
+# with fewer, the per-row calls, which hold the GIL, outweigh the sums, which do not
+_PRODUCTS_PER_WORKER = 1 << 23
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _average_triple_products(F: np.ndarray, segment_length: int) -> BispectrumGrid:
     """Grid averaged over the rows of F, the (M, half+1) one-sided segment spectra.
 
@@ -185,9 +199,14 @@ def _average_triple_products(F: np.ndarray, segment_length: int) -> BispectrumGr
     no gathers.  The triple products read F transposed, bins by segments, so
     each bin's sum over segments m = 0..M-1 runs along one contiguous row.
     ``norm`` is the product of the averaged |F(k1)F(k2)|^2 and the averaged
-    power at k1 + k2, formed row by row.  No BLAS call is made, so the
-    reduction order is fixed and the result does not depend on the thread
-    count.
+    power at k1 + k2, formed row by row.
+
+    Rows are independent, so they are split into contiguous blocks of about
+    equal bin count, one per worker thread: a worker per usable CPU, but none
+    with fewer than ``_PRODUCTS_PER_WORKER`` triple products, and a grid with
+    one worker runs inline, with no thread.
+    Each row is the same fixed-order numpy calls on any thread, and no BLAS
+    call is made, so the result does not depend on the worker count.
     """
     m = len(F)
     half = segment_length // 2
@@ -198,13 +217,26 @@ def _average_triple_products(F: np.ndarray, segment_length: int) -> BispectrumGr
     FcT = np.conj(FT)
     off = grid.offsets.tolist()
     power = P.sum(axis=0) / m
-    for a in range(half + 1):
-        lo, hi = off[a], off[a + 1]
-        n = hi - lo
-        np.einsum("m,km,km->k", FT[a], FT[:n], FcT[a : a + n], out=grid.values[lo:hi])
-        pair_power = np.einsum("m,mk->k", P[:, a], P[:, :n])
-        pair_power /= m
-        np.multiply(pair_power, power[a : a + n], out=grid.norm[lo:hi])
+
+    def fill(rows):
+        for a in rows:
+            lo, hi = off[a], off[a + 1]
+            n = hi - lo
+            np.einsum("m,km,km->k", FT[a], FT[:n], FcT[a : a + n], out=grid.values[lo:hi])
+            pair_power = np.einsum("m,mk->k", P[:, a], P[:, :n])
+            pair_power /= m
+            np.multiply(pair_power, power[a : a + n], out=grid.norm[lo:hi])
+
+    workers = max(1, min(_usable_cpus(), size * m // _PRODUCTS_PER_WORKER))
+    if workers == 1:
+        fill(range(half + 1))
+    else:
+        # block i starts at the row holding bin size * i / workers
+        edges = np.searchsorted(grid.offsets, np.arange(workers + 1) * size // workers,
+                                side="right") - 1
+        with ThreadPoolExecutor(workers) as pool:
+            # list() waits for every block and raises the first error
+            list(pool.map(fill, map(range, edges[:-1].tolist(), edges[1:].tolist())))
     grid.values /= m
     return grid
 

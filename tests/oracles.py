@@ -4,6 +4,7 @@ These deliberately avoid the library's FFT path: the transform is the
 literal O(N^2) definition sum, the bispectrum a literal triple loop and the
 principal-domain (k1, k2) layout a literal double loop.
 The OHLCV oracle is the row-at-a-time loader the columnar one replaced,
+the series-CSV oracle the line loop that numpy's reader replaced,
 the solver oracles the physical-space RK4 step that the spectral-state
 one replaced, the in-place RK4 stages that the plain expressions replaced
 and the per-step forcing that the time-blocked one replaced, and the
@@ -149,6 +150,33 @@ def legacy_load_ohlc_csv(path, schema=None):
     counts["n_records_out"] = len(records)
     counts["sessions_detected"] = counts["n_gaps"] + 1
     return records, counts
+
+
+def legacy_read_series_csv(path):
+    """The line-at-a-time ``t,value`` reader that numpy's reader replaced;
+    returns a ``TimeSeries`` and raises the same errors."""
+    from pathlib import Path
+
+    from phasecorr.errors import FileUnreadable
+    from phasecorr.spectral import TimeSeries
+
+    path = Path(path)
+    values = []
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            if fh.readline().strip().lower() != "t,value":
+                raise FileUnreadable(f"{path} is not a t,value series CSV")
+            for line in fh:
+                if not line.strip():
+                    continue
+                try:
+                    values.append(float(line.split(",")[1]))
+                except (IndexError, ValueError) as exc:
+                    row = line.rstrip("\r\n")
+                    raise FileUnreadable(f"{path}: bad row {row!r}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+    return TimeSeries(values=np.array(values))
 
 
 def reference_forcing(seed, n_grid, amplitude, step):

@@ -385,6 +385,21 @@ class TestAnalyze:
         assert "input error:" in res.output
         assert not out.exists()
 
+    def test_ohlc_cell_beyond_field_limit_exit_2(self, runner, tmp_path):
+        # a 200,000-character cell, which csv.reader refuses, and a short row
+        # that hands the file to csv.reader
+        rows = ["datetime,open,high,low,close,volume,note"]
+        rows += [f"2020-01-06 09:{15 + i},100,101,99.5,100.5,1000,"
+                 + ("x" * 200_000 if i == 4 else "ok") for i in range(10)]
+        rows.append("2020-01-06 10:00,100")
+        path = tmp_path / "long.csv"
+        path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["analyze", str(path), "--ohlc", "--out", str(out)])
+        assert res.exit_code == 2
+        assert "input error: cannot read" in res.output
+        assert not out.exists()
+
     def test_grid_bytes_reproducible(self, runner, tmp_path, monkeypatch):
         # the grid report rebuilds from an analysis, from raw_series.npy and the manifest
         csv = make_triad_csv(runner, tmp_path, True)

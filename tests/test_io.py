@@ -3,11 +3,12 @@ import re
 import numpy as np
 import pytest
 
+import phasecorr.io as io
 from phasecorr import BispectrumGrid, TimeSeries, bicoherence, segmented_bispectrum
 from phasecorr.errors import FileUnreadable
 from phasecorr.io import check_array, read_series_csv, save_array, write_series_csv
 
-from oracles import domain_pairs
+from oracles import domain_pairs, legacy_read_series_csv
 
 SPECIAL = [0.0, -0.0, 1.0, -2.5, 1 / 3, 5e-324, 1e-300, 1e300, 123456789.125]
 
@@ -70,6 +71,160 @@ class TestSeriesCsv:
         (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "s.csv").read_bytes())
         back = read_series_csv(tmp_path / "bom.csv")
         assert back.values.tobytes() == read_series_csv(tmp_path / "s.csv").values.tobytes()
+
+
+# value cells numpy's reader parses as float does; the non-finite ones, rarer,
+# make the series an error
+BULK_VALUES = [" 2.5 ", "\xa03.5\xa0", "\u3000" "6.5", "7.5\u2028", "4.5\x85", "+.5", "1e2",
+               "-0.0", "5e-324", "1e-400"]
+NON_FINITE_VALUES = ["nan", "-inf", "Infinity", "1e400", "-1e400"]
+# value cells numpy's reader rejects and float takes
+LOOP_VALUES = ["1_000", "\uff11.\uff15", "1_2.5e-3"]
+# value cells neither takes
+BAD_VALUES = ['"4.5"', "", "abc", "0x10", "1.5.2", "nan(1)"]
+UNSAFE_BYTES = ["\x00", "\x1c", "\x1d", "\x1e", "\x1f"]
+
+
+def write_series_fuzz(path, seed: int):
+    """Seeded ``t,value`` files: most with only what numpy's reader reads as
+    the line loop does, the rest with rows, lines or bytes where they part."""
+    rng = np.random.default_rng(seed)
+    eol = str(rng.choice(["\n", "\r\n", "\r"]))
+    # the share of rows with a defect numpy's reader rejects or may read apart
+    defects = float(rng.choice([0.0, 0.0, 0.01, 0.04]))
+    n_rows = int(rng.choice([0, 1, 3, 40, 40, 40, 40, 40]))
+    lines = ["t,value"]
+    for t in range(n_rows):
+        value = repr(float(rng.normal() * 10.0 ** rng.integers(-8, 8)))
+        if rng.random() < 0.05:
+            value = str(rng.choice(BULK_VALUES))
+        elif rng.random() < 0.003:
+            value = str(rng.choice(NON_FINITE_VALUES))
+        cells = [str(t), value]
+        if rng.random() < 0.05:
+            cells += ["x"] * int(rng.integers(1, 3))
+        if rng.random() < defects:
+            kind = int(rng.integers(6))
+            if kind == 0:
+                cells = cells[:1]
+            elif kind == 1:
+                cells[1] = str(rng.choice(BAD_VALUES))
+            elif kind == 2:
+                at = int(rng.choice([0, rng.integers(len(cells[1]) + 1), len(cells[1])]))
+                cells[1] = cells[1][:at] + str(rng.choice(UNSAFE_BYTES)) + cells[1][at:]
+            elif kind == 3:
+                cells[1] = str(rng.choice(LOOP_VALUES))
+            else:
+                lines.append(str(rng.choice([" ", "\t", " \t ", "\x0c"])))
+        if rng.random() < 0.05:
+            lines.append("")
+        lines.append(",".join(cells))
+    if defects and rng.random() < 0.15:
+        # a bad first or last row
+        lines.insert(1 if rng.random() < 0.5 else len(lines), str(rng.choice(["7", "1,abc", "2,"])))
+    text = eol.join(lines) + (eol if rng.random() < 0.8 else "")
+    bom = "\ufeff" if rng.random() < 0.2 else ""
+    path.write_bytes((bom + text).encode())
+    return path
+
+
+def read_either(reader, path):
+    """The series' bytes, or the type and message of what the reader raised."""
+    try:
+        return reader(path).values.tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture
+def loop_reads(monkeypatch):
+    """The lines the line loop reads, one entry each time ``read_series_csv`` turns to it."""
+    calls = []
+    read_rows = io._read_rows
+
+    def spy(lines, path):
+        lines = list(lines)
+        calls.append(len(lines))
+        return read_rows(lines, path)
+
+    monkeypatch.setattr(io, "_read_rows", spy)
+    return calls
+
+
+class TestSeriesReaderMatchesLegacy:
+    """numpy's reader and the line loop it falls back to give the loop's
+    series bit for bit, or its error with its message."""
+
+    @pytest.mark.parametrize("chunk_rows", [None, 1, 7])
+    def test_fuzz(self, tmp_path, monkeypatch, loop_reads, chunk_rows):
+        if chunk_rows:
+            monkeypatch.setattr(io, "_CHUNK_ROWS", chunk_rows)
+        outcomes = dict.fromkeys(["bulk", "bulk-error", "loop", "loop-error"], 0)
+        for seed in range(800):
+            path = write_series_fuzz(tmp_path / f"s{seed}.csv", seed)
+            loop_reads.clear()
+            got = read_either(read_series_csv, path)
+            assert got == read_either(legacy_read_series_csv, path), seed
+            outcomes[("loop" if loop_reads else "bulk") + ("-error" if isinstance(got, tuple)
+                                                           else "")] += 1
+        # each reader ran on files it reads and on files that raise
+        assert min(outcomes.values()) >= 40, outcomes
+
+    @pytest.mark.parametrize("text", [
+        "t,value\n", "t,value", "\ufefft,value\r\n", "t,value\n\n\n",
+        "t,value\n7\n0,1.5\n1,2.5\n", "t,value\n0,1.5\n1,2.5\n1,abc\n",
+        "t,value\n0,1.5\n1,2.5\n2,", "t,value\n0,1_000\n1,2.5\n",
+        "t,value\n0,1.5\n \n1,2.5\n", "t,value\n0,1.5\x00\n1,2.5\n",
+        "t,value\r0,1.5,x,y\r1\x1f,2.5\r", "t,value\n0,nan\n1,2.5\n", "t,value\n0,1.5\n",
+        "value,t\n0,1.5\n1,2.5\n", "",
+    ], ids=["header-only", "header-no-eol", "bom-header-only", "blank-lines-only",
+            "bad-first-row", "bad-last-row", "empty-last-cell", "underscore",
+            "whitespace-line", "nul", "extra-columns-us", "nan", "one-row",
+            "wrong-header", "empty-file"])
+    def test_edge_cases(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        assert read_either(read_series_csv, path) == read_either(legacy_read_series_csv, path)
+
+    @pytest.mark.parametrize("rows", [5000, 70_000])
+    def test_not_utf8(self, tmp_path, rows):
+        # in the first chunk numpy's reader would read, or after it
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"t,value\n" + b"0,1.5\n" * rows + b"1,\xe9\n2,2.5\n")
+        got = read_either(read_series_csv, path)
+        assert got == read_either(legacy_read_series_csv, path)
+        assert got[0] is FileUnreadable and "cannot read" in got[1]
+
+    def test_clean_file_skips_the_loop(self, tmp_path, loop_reads):
+        # blank lines, CR ends, extra columns and a byte-order mark are numpy's to read
+        v = awkward_values(70_001)
+        write_series_csv(tmp_path / "s.csv", TimeSeries(v))
+        assert read_series_csv(tmp_path / "s.csv").values.tobytes() == v.tobytes()
+        path = tmp_path / "odd.csv"
+        path.write_bytes(b"\xef\xbb\xbft,value\r0,1.5,x\r\r1,-2.0\r")
+        assert read_series_csv(path).values.tolist() == [1.5, -2.0]
+        assert loop_reads == []
+
+    @pytest.mark.parametrize("row", ["1, ", "1,1_000", "1,1.5\x1c"],
+                             ids=["whitespace-cell", "underscore", "unsafe-byte"])
+    def test_rejected_file_runs_the_loop_once(self, tmp_path, loop_reads, row):
+        path = tmp_path / "s.csv"
+        path.write_text(f"t,value\n0,1.5\n{row}\n2,2.5\n")
+        read_either(read_series_csv, path)
+        assert loop_reads == [3]
+
+    @pytest.mark.parametrize("bad", [9, 12, 19])
+    def test_loop_resumes_at_rejected_chunk(self, tmp_path, monkeypatch, loop_reads, bad):
+        # chunks of 4 lines: numpy's reader keeps the chunks before the one
+        # holding the whitespace-only line, and the loop reads from that one on
+        monkeypatch.setattr(io, "_CHUNK_ROWS", 4)
+        lines = [f"{t},{t + 0.5!r}" for t in range(20)]
+        lines[bad] = " "
+        path = tmp_path / "s.csv"
+        path.write_text("t,value\n" + "\n".join(lines) + "\n")
+        assert read_series_csv(path).values.tobytes() == \
+               legacy_read_series_csv(path).values.tobytes()
+        assert loop_reads == [20 - bad // 4 * 4]
 
 
 def test_array_npy_round_trip_bit_exact(tmp_path):

@@ -116,6 +116,23 @@ class TestLoadOhlcCsv:
         with pytest.raises(FileUnreadable, match="cannot read"):
             load_ohlc_csv(path)
 
+    @pytest.mark.parametrize("short_row", [False, True], ids=["numpy", "csv-reader"])
+    def test_cell_beyond_field_limit(self, tmp_path, short_row):
+        # csv.reader refuses a cell longer than csv.field_size_limit(); numpy's
+        # reader skips it in a column it does not use, until a short row hands
+        # the file to csv.reader
+        t0 = datetime(2020, 1, 6, 9, 15)
+        rows = [f"{t0 + timedelta(minutes=i):%Y-%m-%d %H:%M},100,101,99.5,100.5,1000,"
+                + ("x" * 200_000 if i == 4 else "ok") for i in range(10)]
+        rows += ["2020-01-06 10:00,100"] if short_row else []
+        path = write_fixture(tmp_path / "long.csv", rows,
+                             header="datetime,open,high,low,close,volume,note")
+        if short_row:
+            with pytest.raises(FileUnreadable, match="cannot read .*field larger than field limit"):
+                load_ohlc_csv(path)
+        else:
+            assert load_ohlc_csv(path)[1].n_records_out == 10
+
     def test_no_valid_rows(self, tmp_path):
         path = write_fixture(tmp_path / "junk.csv", ["garbage,1,2,3,4,5"])
         with pytest.raises(NoValidRows):

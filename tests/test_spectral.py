@@ -1,5 +1,7 @@
 import inspect
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -374,6 +376,49 @@ class TestTriplesAgainstLegacy:
     def test_single_segment(self, n):
         F = dft_forward(seeded_series(n, n))
         self.assert_matches_legacy(bispectrum(F), F[None, : n // 2 + 1])
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of each thread pool the kernel makes."""
+    made = []
+    real = spectral.ThreadPoolExecutor
+
+    def spy(workers):
+        made.append(workers)
+        return real(workers)
+
+    monkeypatch.setattr(spectral, "ThreadPoolExecutor", spy)
+    return made
+
+
+class TestParallelKernel:
+    """Rows split across worker threads give the one-thread grid bit for bit."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("segment_length, segments", [(1024, 384), (4096, 24)])
+    def test_worker_count_changes_no_bit(self, monkeypatch, pools, cpus, segment_length,
+                                         segments):
+        # 3 workers put the block edges mid-triangle, off the longest row
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: cpus)
+        rng = np.random.default_rng(segment_length + segments)
+        F = np.fft.rfft(rng.normal(size=(segments, segment_length)), axis=1)
+        threads = threading.active_count()
+        g = spectral._average_triple_products(F, segment_length)
+        assert pools == ([] if cpus == 1 else [cpus])
+        assert threading.active_count() == threads  # no worker outlives the call
+        TestTriplesAgainstLegacy.assert_matches_legacy(g, F)
+
+    @pytest.mark.parametrize("segment_length, segments", [(1024, 64), (4096, 1), (8192, 1)])
+    def test_small_work_runs_inline(self, monkeypatch, pools, segment_length, segments):
+        # fewer than two workers' share of triple products, however many CPUs
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 64)
+        values = np.random.default_rng(3).normal(size=segments * segment_length)
+        segmented_bispectrum(TimeSeries(values), segment_length)
+        assert pools == []
+
+    def test_usable_cpus(self):
+        assert 1 <= spectral._usable_cpus() <= (os.cpu_count() or 1)
 
 
 class TestBicoherence:
