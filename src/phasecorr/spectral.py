@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -231,6 +230,9 @@ def _average_triple_products(F: np.ndarray, segment_length: int) -> BispectrumGr
     if workers == 1:
         fill(range(half + 1))
     else:
+        # imported here, so a command that splits no grid does not pay for it
+        from concurrent.futures import ThreadPoolExecutor
+
         # block i starts at the row holding bin size * i / workers
         edges = np.searchsorted(grid.offsets, np.arange(workers + 1) * size // workers,
                                 side="right") - 1

@@ -1,3 +1,4 @@
+import concurrent.futures
 import inspect
 import math
 import os
@@ -382,13 +383,13 @@ class TestTriplesAgainstLegacy:
 def pools(monkeypatch):
     """The worker count of each thread pool the kernel makes."""
     made = []
-    real = spectral.ThreadPoolExecutor
+    real = concurrent.futures.ThreadPoolExecutor
 
     def spy(workers):
         made.append(workers)
         return real(workers)
 
-    monkeypatch.setattr(spectral, "ThreadPoolExecutor", spy)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
     return made
 
 
