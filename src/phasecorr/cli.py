@@ -1,8 +1,8 @@
 """Command-line entry point: generate, simulate, analyze, report.
 
 Every command writes its outputs plus a ``manifest.json`` capturing the
-resolved configuration, seed, and file lists, so any run can be
-reproduced bit-exactly.  Exit codes: 0 success, 2 usage or input error,
+resolved configuration, seed, file lists and numpy's version, so any run can
+be reproduced bit-exactly.  Exit codes: 0 success, 2 usage or input error,
 3 numerical failure.
 """
 
@@ -103,6 +103,8 @@ def _write_manifest(out: Path, command: str, params: dict,
         "command": command,
         "config": {k: v for k, v in params.items() if k != "out"},
         "version": __version__,
+        # the outputs' bits depend on numpy's FFT and default_rng
+        "numpy": np.__version__,
         "inputs": sorted(inputs),
         "outputs": sorted(outputs),
         **resolved,
@@ -275,7 +277,7 @@ def cmd_analyze(ctx, input_path, ohlc, price_field, transform, segments, segment
     # the grid is not written: segmented_bispectrum rebuilds it from the series, the
     # resolved length and the config, as report --render does
     _write_manifest(out_dir, "analyze", ctx.params, [input_path], list(ANALYSIS_FILES),
-                    segment_length=grid.segment_length, numpy=np.__version__)
+                    segment_length=grid.segment_length)
     click.echo(hotspots.verdict.value)
 
 

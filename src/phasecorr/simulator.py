@@ -7,9 +7,12 @@ stages of a step.  The nonlinearity is taken in conservative form,
 ``(u u_x)^ = (ik/2) (u^2)^``: with only |k| <= n/3 retained, every alias of
 the physical-space square lands above n/3 and is masked, so each stage needs
 one inverse and one forward transform.  ``step`` returns the masked spectrum
-with the field and takes it back on the next call, so a run never
-re-transforms its own field; 8 real FFTs make a Burgers step, plus one
-batched forcing transform per ``FORCING_BLOCK`` steps.  Forcing is i.i.d.
+and max|u| with the field and takes them back on the next call, so a run never
+re-transforms its own field or reduces it twice; 8 real FFTs make a Burgers
+step, plus one batched forcing transform per ``FORCING_BLOCK`` steps.  The
+stage transforms write into two buffers made once per step, and the stage sums
+run in place, each keeping the operand order of the plain expression, so it
+rounds the same way.  Forcing is i.i.d.
 uniform in [-A, A] per grid point per step, demeaned and not scaled by
 sqrt(dt); the values of step s come from ``default_rng([seed, s])``.
 """
@@ -80,15 +83,16 @@ class SolverConfig:
 
 @dataclass
 class FieldState:
-    """The field after ``step`` steps.  ``uh`` is the masked rfft of ``u``, which
-    ``step`` sets on the state it returns, with ``u`` read-only, and reuses on the
-    next call; a state built or replaced by hand has none, and ``step`` derives it
-    from ``u``."""
+    """The field after ``step`` steps.  ``uh`` is the masked rfft of ``u`` and
+    ``umax`` its max|u|, which ``step`` sets on the state it returns, with ``u``
+    read-only, and reuses on the next call; a state built or replaced by hand has
+    neither, and ``step`` derives both from ``u``."""
 
     u: np.ndarray
     time: float = 0.0
     step: int = 0
     uh: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+    umax: float | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass
@@ -126,7 +130,10 @@ def _forcing_block(seed: int, n_grid: int, amplitude: float, block: int) -> np.n
     first = block * FORCING_BLOCK
     f = np.empty((FORCING_BLOCK, n_grid))
     for row in range(FORCING_BLOCK):
-        f[row] = np.random.default_rng([seed, first + row]).uniform(-1.0, 1.0, n_grid)
+        np.random.default_rng([seed, first + row]).random(out=f[row])
+    # uniform(-1, 1) is -1 + 2 * random() in C; doubling is exact, so the bits match
+    f *= 2.0
+    f -= 1.0
     f *= amplitude
     f -= f.mean(axis=-1, keepdims=True)
     fh = np.fft.rfft(f, axis=-1)
@@ -145,43 +152,67 @@ def step(state: FieldState, config: SolverConfig) -> FieldState:
     lin, ik_half, mask = _spectral_operators(n, config.length, config.nu)
     nonlinear = config.equation == "burgers"
 
-    u, uh = state.u, state.uh
+    u, uh, umax = state.u, state.uh, state.umax
     if uh is None:
         uh = np.fft.rfft(u) * mask
         u = np.fft.irfft(uh, n)  # the dealiased field the spectrum stands for
+        umax = float(np.abs(u).max())
     if nonlinear:
-        cfl = config.dt * float(np.abs(u).max()) / (config.length / n)
+        cfl = config.dt * umax / (config.length / n)
         if cfl >= 1.0:
             raise CflViolation(state.step, cfl)
 
     block, row = divmod(state.step, FORCING_BLOCK)
     fh = _forcing_block(config.seed, n, config.forcing_amplitude, block)[row]
 
-    # every term is masked, so the right-hand side and the update stay masked
+    # a stage's field and the transform of its square; the last irfft allocates,
+    # because its array becomes the returned u
+    u_stage = np.empty_like(u)
+    sq_hat = np.empty_like(uh)
+
+    # every term is masked, so the right-hand side and the update stay masked;
+    # each in-place operation keeps the operand order of the plain expression
+    # it stands for, so it rounds the same way
     def rhs(uh, u=None):
-        r = lin * uh + fh
+        r = lin * uh
+        r += fh
         if nonlinear:
             if u is None:
-                u = np.fft.irfft(uh, n)
-            r -= ik_half * np.fft.rfft(u * u)
+                u = np.fft.irfft(uh, n, out=u_stage)
+            nl = np.fft.rfft(np.multiply(u, u, out=u_stage), out=sq_hat)
+            r -= np.multiply(ik_half, nl, out=nl)
         return r
 
     dt = config.dt
     r1 = rhs(uh, u)
-    r2 = rhs(uh + 0.5 * dt * r1)
-    r3 = rhs(uh + 0.5 * dt * r2)
-    r4 = rhs(uh + dt * r3)
-    # the classical weights, summed in this order: another order rounds differently
-    uh = uh + (dt / 6.0) * (2.0 * r2 + r1 + 2.0 * r3 + r4)
+    stage = np.multiply(0.5 * dt, r1)
+    stage += uh
+    r2 = rhs(stage)
+    np.multiply(0.5 * dt, r2, out=stage)
+    stage += uh
+    r3 = rhs(stage)
+    np.multiply(dt, r3, out=stage)
+    stage += uh
+    r4 = rhs(stage)
+    # uh + (dt / 6) * (2 r2 + r1 + 2 r3 + r4), summed in r2's buffer in this
+    # order: another order rounds differently
+    acc = np.multiply(2.0, r2, out=r2)
+    acc += r1
+    acc += np.multiply(2.0, r3, out=r3)
+    acc += r4
+    np.multiply(dt / 6.0, acc, out=acc)
+    acc += uh
+    uh = acc
     u = np.fft.irfft(uh, n)
 
-    if not np.abs(u).max() <= BLOWUP_LIMIT:  # also true for NaN
+    umax = float(np.abs(u).max())
+    if not umax <= BLOWUP_LIMIT:  # also true for NaN
         raise BlowUp(state.step)
     # uh stands for u on the next call, so u is read-only: an in-place change raises
     # rather than being stepped as the old field
     u.flags.writeable = False
     new = FieldState(u=u, time=state.time + dt, step=state.step + 1)
-    new.uh = uh
+    new.uh, new.umax = uh, umax
     return new
 
 

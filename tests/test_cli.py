@@ -759,6 +759,18 @@ def test_out_is_a_file_exit_2(runner, tmp_path, command):
     assert taken.read_text() == "a file\n"
 
 
+@pytest.mark.parametrize("args", [
+    ["generate", "triad", "--omega-a", "0.22", "--omega-b", "0.375", "--n", "256"],
+    ["generate", "noise", "--n", "64"],
+    ["simulate", "burgers", "--n", "32", "--dt", "1e-3", "--nu", "0.01", "--steps", "5"],
+], ids=["generate-triad", "generate-noise", "simulate"])
+def test_manifest_records_numpy(runner, tmp_path, args):
+    # generated series and solver output are bits of numpy's default_rng and FFT
+    out = tmp_path / "out"
+    assert run_cli(runner, args + ["--out", str(out)]).exit_code == 0
+    assert json.loads((out / "manifest.json").read_text())["numpy"] == np.__version__
+
+
 def default_of(func, name):
     return inspect.signature(func).parameters[name].default
 

@@ -291,6 +291,14 @@ class TestForcingBlock:
             got = _forcing_block(9, n_grid, amplitude, s // FORCING_BLOCK)[s % FORCING_BLOCK]
             assert got.tobytes() == reference_forcing(9, n_grid, amplitude, s).tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40 + 7],
+                             ids=["zero", "one-word-max", "two-words", "two-words-high"])
+    def test_multi_word_seed_rows_equal_per_step_reference(self, seed):
+        # default_rng takes a seed above 2**32 - 1 as more than one 32-bit word
+        for s in (0, 63, 64, 1000):
+            got = _forcing_block(seed, 256, 6.0, s // FORCING_BLOCK)[s % FORCING_BLOCK]
+            assert got.tobytes() == reference_forcing(seed, 256, 6.0, s).tobytes()
+
     def test_block_is_read_only(self):
         block = _forcing_block(9, 256, 6.0, 0)
         assert block.shape == (FORCING_BLOCK, 129)
@@ -368,6 +376,48 @@ class TestHandMadeState:
         s = self.stepped()
         with pytest.raises(TypeError):
             FieldState(u=s.u, uh=s.uh)
+
+
+class TestStepBuffers:
+    """``step`` works in buffers of its own call: no state it returns shares memory
+    with another, and a later step changes none of them."""
+
+    config = SolverConfig(n_grid=256, dt=1e-3, nu=0.02, forcing_amplitude=3.0, seed=4)
+
+    @pytest.mark.parametrize("equation", ["burgers", "diffusion"])
+    def test_states_share_no_memory(self, equation):
+        config = dataclasses.replace(self.config, equation=equation)
+        states = [init_field(config)]
+        for _ in range(4):
+            states.append(step(states[-1], config))
+        for a, b in zip(states[1:], states[2:]):
+            assert not np.shares_memory(a.u, b.u)
+            assert not np.shares_memory(a.uh, b.uh)
+
+    @pytest.mark.parametrize("equation", ["burgers", "diffusion"])
+    def test_later_steps_change_no_state(self, equation):
+        config = dataclasses.replace(self.config, equation=equation)
+        s = step(init_field(config), config)
+        u, uh = s.u.tobytes(), s.uh.tobytes()
+        later = s
+        for _ in range(3):
+            later = step(later, config)
+        assert (s.u.tobytes(), s.uh.tobytes()) == (u, uh)
+
+    def test_carried_max_is_max_abs(self):
+        s = step(step(init_field(self.config), self.config), self.config)
+        assert s.umax == float(np.abs(s.u).max())
+
+    def test_carried_max_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            FieldState(u=np.zeros(16), umax=0.0)
+
+    def test_carried_max_not_compared_or_shown(self):
+        u = np.zeros(16)
+        a, b = FieldState(u=u), FieldState(u=u)
+        a.umax, b.umax = 1.0, 2.0
+        assert a == b
+        assert "umax" not in repr(a)
 
 
 class TestSpatialSpectrum:
