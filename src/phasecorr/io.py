@@ -5,9 +5,9 @@ series and the analysis parameters."""
 from __future__ import annotations
 
 import warnings
-from itertools import chain, islice
+from itertools import tee
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -30,7 +30,7 @@ def write_series_csv(path: str | Path, series: TimeSeries) -> None:
             fh.write(f"{t},{v!r}\n")
 
 
-# lines numpy's reader parses at a time: a file it rejects is read again from
+# rows numpy's reader parses at a time: a file it rejects is read again from
 # the rejected chunk's first line, so no more than one chunk is read twice
 _CHUNK_ROWS = 1 << 16
 # bytes on which numpy's reader and csv.reader or float part ways: numpy drops
@@ -62,30 +62,53 @@ def _read_rows(lines: Iterable[str], path: Path) -> list[float]:
     return values
 
 
-def _read_bulk(fh: TextIO, path: Path) -> np.ndarray:
-    """The value column of the lines of ``fh``, through numpy's reader a chunk
-    of ``_CHUNK_ROWS`` lines at a time, and through ``_read_rows`` from the
-    first line of the first chunk it rejects: one with a row with no value
-    cell, a value it cannot parse or a whitespace-only line."""
-    chunks = []
+def _read_chunks(lines: Iterator[str], path: Path, read_chunk: Callable,
+                 read_rest: Callable) -> list:
+    """What ``read_chunk`` reads of ``lines`` a chunk at a time until it gives
+    None, then what ``read_rest`` reads from the first line of the first chunk
+    it rejects with ``ValueError``, or from the start if the file at ``path``
+    holds a byte of ``_BULK_UNSAFE``.  Text that is not UTF-8 raises
+    ``UnicodeDecodeError``: the file yields no line after it."""
+    if not _bulk_safe(path):
+        return [read_rest(lines)]
+    parts = []
     with warnings.catch_warnings():
-        # a chunk of blank lines
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        while lines := list(islice(fh, _CHUNK_ROWS)):
+        # numpy says when a line is blank, or a read after the last row finds nothing
+        warnings.filterwarnings("ignore", r"(Input line \d+|loadtxt: input) contained no data",
+                                UserWarning)
+        while True:
+            # ``replay`` keeps the lines ``read_chunk`` reads from here, until it is dropped
+            lines, replay = tee(lines)
             try:
-                chunks.append(np.loadtxt(lines, np.float64, delimiter=",", usecols=1,
-                                         comments=None, ndmin=1))
+                part = read_chunk(lines)
+            except UnicodeDecodeError:
+                raise
             except ValueError:
-                chunks.append(np.array(_read_rows(chain(lines, fh), path)))
                 break
-    return np.concatenate(chunks) if chunks else np.empty(0)
+            if part is None:
+                return parts
+            del replay
+            parts.append(part)
+    # out of the handler, whose traceback holds ``lines``: while the copy
+    # ``read_chunk`` advanced lives, the tee keeps every line ``read_rest`` reads
+    del lines
+    return parts + [read_rest(replay)]
+
+
+def _read_chunk(lines: Iterator[str]) -> np.ndarray | None:
+    """The value column of the next ``_CHUNK_ROWS`` rows of ``lines``, or None
+    at their end; ``ValueError`` for a row with no value cell, a value numpy
+    cannot parse or a whitespace-only line."""
+    values = np.loadtxt(lines, np.float64, delimiter=",", usecols=1, comments=None,
+                        max_rows=_CHUNK_ROWS, ndmin=1)
+    return values if len(values) else None
 
 
 def read_series_csv(path: str | Path) -> TimeSeries:
     """Read a ``t,value`` CSV of UTF-8 text: a leading byte-order mark is
     skipped, only CR, LF and CRLF end a row, and blank lines are skipped.
 
-    numpy's C reader reads the rows (``_read_bulk``), and the line loop
+    numpy's C reader reads the rows (``_read_chunks``), and the line loop
     ``_read_rows``, through ``float``, reads on from the first chunk it
     rejects, or reads a file holding a byte of ``_BULK_UNSAFE`` whole.  The
     loop reads what numpy cannot (``1_000``, whitespace-only lines) and names
@@ -96,10 +119,10 @@ def read_series_csv(path: str | Path) -> TimeSeries:
         with open(path, encoding="utf-8-sig", newline="") as fh:
             if fh.readline().strip().lower() != "t,value":
                 raise FileUnreadable(f"{path} is not a t,value series CSV")
-            values = _read_bulk(fh, path) if _bulk_safe(path) else _read_rows(fh, path)
+            parts = _read_chunks(fh, path, _read_chunk, lambda rest: _read_rows(rest, path))
     except (OSError, UnicodeDecodeError) as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-    return TimeSeries(values=values)
+    return TimeSeries(values=np.concatenate(parts) if parts else np.empty(0))
 
 
 def save_array(path: str | Path, values: np.ndarray) -> None:

@@ -12,17 +12,16 @@ import contextlib
 import csv
 import gc
 import math
-import warnings
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import compress, islice, tee, zip_longest
+from itertools import compress, islice, zip_longest
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import FileUnreadable, NoValidRows, SchemaMismatch
-from .io import _bulk_safe
+from .io import _CHUNK_ROWS, _read_chunks
 from .spectral import TimeSeries
 
 __all__ = [
@@ -40,8 +39,6 @@ _SERIES_FIELDS = ("close", "open", "mid")
 _TRANSFORMS = ("raw", "demean", "log_return")
 
 _TS_FORMATS = ("%Y-%m-%d %H:%M", "%Y-%m-%d %H:%M:%S")
-# rows parsed at a time: bounds the Python objects alive at once
-_CHUNK_ROWS = 1 << 16
 # characters numpy's reader keeps of a timestamp cell: a cell that fills them
 # all may have been cut short
 _STAMP_WIDTH = 20
@@ -159,41 +156,20 @@ def _valid_rows(ts: np.ndarray, prices: Sequence[np.ndarray]) -> tuple[np.ndarra
     return (ts[valid].view(np.int64), *(p[valid] for p in prices))
 
 
-def _read_bulk(lines: Iterator[str],
-               columns: list[int]) -> tuple[int, list, Iterator[str] | None]:
-    """Rows read and valid chunks of ``lines`` through numpy's reader, and the
-    lines from the start of the first chunk it rejects, or None.
-
-    numpy rejects a chunk holding a row with a missing cell, a number it
-    cannot parse or a whitespace-only line, and this reader one whose
-    timestamp cell may have been cut short.  Text that is not UTF-8 raises
-    ``UnicodeDecodeError``: the file yields no line after it.
-    """
-    n_in, chunks = 0, []
-    with warnings.catch_warnings():
-        # numpy says when a line is blank, or a read after the last row finds nothing
-        warnings.filterwarnings("ignore", r"(Input line \d+|loadtxt: input) contained no data",
-                                UserWarning)
-        while True:
-            # ``replay`` keeps the lines numpy reads from here, until it is dropped
-            lines, replay = tee(lines)
-            try:
-                block = np.loadtxt(lines, _BULK_DTYPE, delimiter=",", quotechar='"',
-                                   comments=None, usecols=columns, max_rows=_CHUNK_ROWS,
-                                   ndmin=1)
-            except UnicodeDecodeError:
-                raise
-            except ValueError:
-                return n_in, chunks, replay
-            if not len(block):
-                return n_in, chunks, None
-            stamps = block["datetime"]
-            if (np.char.str_len(stamps) == _STAMP_WIDTH).any():
-                return n_in, chunks, replay
-            del replay
-            n_in += len(block)
-            chunks.append(_valid_rows(_parse_timestamps(stamps),
-                                      [block[name] for name in _PRICE_FIELDS]))
+def _read_chunk(lines: Iterator[str], columns: list[int]) -> tuple[int, list] | None:
+    """Rows read and valid rows of the next ``_CHUNK_ROWS`` rows of ``lines``
+    through numpy's reader, or None at their end; ``ValueError`` for a row with
+    a missing cell, a number numpy cannot parse, a whitespace-only line or a
+    timestamp cell that may have been cut short."""
+    block = np.loadtxt(lines, _BULK_DTYPE, delimiter=",", quotechar='"', comments=None,
+                       usecols=columns, max_rows=_CHUNK_ROWS, ndmin=1)
+    if not len(block):
+        return None
+    stamps = block["datetime"]
+    if (np.char.str_len(stamps) == _STAMP_WIDTH).any():
+        raise ValueError("a timestamp cell may have been cut short")
+    return len(block), [_valid_rows(_parse_timestamps(stamps),
+                                    [block[name] for name in _PRICE_FIELDS])]
 
 
 def _read_rows(lines: Iterator[str], columns: list[int]) -> tuple[int, list]:
@@ -231,9 +207,9 @@ def load_ohlc_csv(
     ``newline=""``: only CR, LF and CRLF end a row, blank lines are skipped,
     missing cells make a row invalid, extra cells are ignored, and a name
     that appears twice in the header means its last column.
-    The rows are read by numpy's reader, a chunk of ``_CHUNK_ROWS`` at a time;
-    from the first chunk it rejects, or might read differently, on, they are
-    read by ``csv.reader``.
+    The rows are read by numpy's reader, a chunk of ``_CHUNK_ROWS`` rows at a
+    time; from the first chunk it rejects, or might read differently, on, they
+    are read by ``csv.reader`` (``io._read_chunks``).
     """
     colmap = dict(DEFAULT_SCHEMA)
     if schema:
@@ -250,13 +226,13 @@ def load_ohlc_csv(
                     raise SchemaMismatch(
                         f"column {column!r} (for {logical!r}) missing from {path}")
             columns = [position[colmap[name]] for name in ("datetime", *_PRICE_FIELDS)]
-            n_in, chunks, rest = _read_bulk(f, columns) if _bulk_safe(path) else (0, [], f)
-            if rest is not None:
-                n_rest, more = _read_rows(rest, columns)
-                n_in, chunks = n_in + n_rest, chunks + more
+            parts = _read_chunks(f, path, lambda lines: _read_chunk(lines, columns),
+                                 lambda rest: _read_rows(rest, columns))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
 
+    n_in = sum(n for n, _ in parts)
+    chunks = [chunk for _, more in parts for chunk in more]
     if not any(len(chunk[0]) for chunk in chunks):
         raise NoValidRows(f"{path} contains no valid OHLCV rows")
     secs, o, h, l, c, v = (np.concatenate(col) for col in zip(*chunks))

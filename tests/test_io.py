@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,37 @@ class TestSeriesReaderMatchesLegacy:
         assert read_series_csv(path).values.tobytes() == \
                legacy_read_series_csv(path).values.tobytes()
         assert loop_reads == [20 - bad // 4 * 4]
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 4])
+    @pytest.mark.parametrize("blanks", [{0: 3}, {at: 1 for at in range(1, 12)}, {4: 8, 8: 4},
+                                        {12: 5}],
+                             ids=["leading", "each-edge", "whole-chunks", "trailing"])
+    def test_blank_lines_at_chunk_edges(self, tmp_path, monkeypatch, loop_reads, chunk_rows,
+                                        blanks):
+        # numpy's reader skips blank lines and counts rows, so a chunk may start
+        # or end on blank lines or hold nothing else, and no warning escapes
+        monkeypatch.setattr(io, "_CHUNK_ROWS", chunk_rows)
+        lines = []
+        for t in range(13):
+            lines += [""] * blanks.get(t, 0) + [f"{t},{t + 0.5!r}"] * (t < 12)
+        path = tmp_path / "s.csv"
+        path.write_text("t,value\n" + "\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = read_series_csv(path)
+        assert got.values.tobytes() == legacy_read_series_csv(path).values.tobytes()
+        assert len(got.values) == 12
+        assert loop_reads == []
+
+    def test_loop_resumes_after_blank_lines(self, tmp_path, monkeypatch, loop_reads):
+        # chunks of 2 rows: the first ends at its second row, so the blank lines
+        # after it open the rejected chunk, and the loop reads from them on
+        monkeypatch.setattr(io, "_CHUNK_ROWS", 2)
+        path = tmp_path / "s.csv"
+        path.write_text("t,value\n0,0.5\n1,1.5\n\n\n2,2.5\n \n3,3.5\n4,4.5\n")
+        assert read_series_csv(path).values.tobytes() == \
+               legacy_read_series_csv(path).values.tobytes()
+        assert loop_reads == [6]
 
 
 def test_array_npy_round_trip_bit_exact(tmp_path):

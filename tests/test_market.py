@@ -5,6 +5,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
+import phasecorr.io as io
 import phasecorr.market as market
 from phasecorr import (
     TriadSpec,
@@ -168,6 +169,28 @@ class TestLoadOhlcCsv:
         finally:
             tracemalloc.stop()
         # neither the whole text nor a list of its lines may be held through the parse
+        assert peak < 2.8 * path.stat().st_size
+
+    def test_peak_memory_bounded_after_rejected_chunk(self, tmp_path, monkeypatch):
+        import tracemalloc
+
+        # a short first row hands the whole file to csv.reader: the lines numpy's
+        # reader left behind must not pile up while csv.reader reads on
+        monkeypatch.setattr(market, "_CHUNK_ROWS", 1024)
+        start = datetime(2020, 1, 6, 9, 15)
+        rows = ["2020-01-06 09:00,100"]
+        for i in range(20_000):
+            c = 100.0 + (i % 89) * 0.01
+            rows.append(f"{start + timedelta(minutes=i):%Y-%m-%d %H:%M},"
+                        f"{c:.6f},{c + 0.1:.6f},{c - 0.1:.6f},{c:.6f},{i % 997}")
+        path = write_fixture(tmp_path / "short_first.csv", rows)
+        tracemalloc.start()
+        try:
+            _, report = load_ohlc_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_records_in == 20_001
         assert peak < 2.8 * path.stat().st_size
 
     def test_columns(self, tmp_path):
@@ -515,6 +538,31 @@ class TestColumnarMatchesLegacy:
         assert vars(report) == dict(
             n_records_in=9, n_records_out=4, n_gaps=1, n_dropped_invalid=3,
             sessions_detected=2, n_dropped_duplicate=1, n_dropped_out_of_order=1)
+
+    @pytest.mark.parametrize("column, cell", [
+        (6, '"o\nk"'), (0, '"2020-01-06\n09:{m}"'), (1, '"\n100"'),
+    ], ids=["unused", "stamp", "price"])
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+    def test_quoted_line_break_at_chunk_edges(self, tmp_path, monkeypatch, chunk_rows, column,
+                                              cell):
+        # a quoted line break stays in its row, inside a chunk and where the
+        # quote opens on a chunk's last line, as csv.reader alone reads it
+        monkeypatch.setattr(market, "_CHUNK_ROWS", chunk_rows)
+        rows = [[f"2020-01-06 09:{m}", "100", "101", "99", "100.5", "1000", "ok"]
+                for m in range(15, 21)]
+        for at in range(len(rows)):
+            cells = [list(row) for row in rows]
+            cells[at][column] = cell.format(m=15 + at)
+            path = write_fixture(tmp_path / f"q{at}.csv", [",".join(row) for row in cells],
+                                 header="datetime,open,high,low,close,volume,note")
+            ticks, report = load_ohlc_csv(path)
+            with monkeypatch.context() as patch:
+                patch.setattr(io, "_bulk_safe", lambda path: False)
+                want, want_report = load_ohlc_csv(path)
+            assert want_report.n_records_in == 6
+            assert report == want_report, at
+            for name in ("timestamps", "open", "high", "low", "close", "volume"):
+                assert getattr(ticks, name).tobytes() == getattr(want, name).tobytes(), at
 
     def test_duplicated_header_name_uses_last_column(self, tmp_path):
         rows = ["2020-01-06 09:15,100,101,99,1,1,100.5",
